@@ -126,4 +126,10 @@ class QueryConfig:
 
     k: int = 100
     params: BM25Params = field(default_factory=BM25Params.xapian)
-    use_wand: bool = True            # block-max WAND pruning for flat OR queries
+    # block-max top-k (executor.block_topk_tree) over OR trees of Term /
+    # SYNONYM leaves; False = the exhaustive reference path
+    use_wand: bool = True
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"QueryConfig.k must be >= 1, got {self.k}")

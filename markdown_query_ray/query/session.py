@@ -7,10 +7,17 @@ cross-query caching for free from glass B-tree page caching; the columnar
 rebuild gets it from this session object:
 
 - ``global_stats`` / doc-bucket layout: loaded once (``IndexReader``).
-- per-term stats (the idf inputs): memoized across queries.
-- decoded posting lists: memoized per (term, bucket) — a keystroke that
-  extends ``merg`` to ``merge`` re-uses every already-decoded list.
+- per-term stats (the idf inputs): memoized across queries on the
+  session's reader — the one term-stats cache, shared by every evaluator.
+- decoded posting lists: memoized per term in each evaluator — a
+  keystroke that extends ``merg`` to ``merge`` re-uses every
+  already-decoded list.
 - wildcard expansions: memoized per prefix.
+
+``SearchSession`` is also the one query driver: ``executor.search``,
+``executor.search_bucket`` (each distributed bucket task) and
+``executor.count_matches`` are calls into it, so the per-bucket top-k
+step, the result-table build and the match count each exist once here.
 
 Deployment shape: one ``SearchSession`` per scorer worker. For QPS serving
 on a cluster, wrap it in an actor pool —
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..config import BM25Params, QueryConfig
+from ..config import QueryConfig
 from ..index.reader import IndexReader
 from .compiler import parse_user_query
 from .executor import (
@@ -86,8 +93,8 @@ class SearchSession:
                grammar: str = "clean") -> pa.Table:
         """Compile + execute a user query string; returns
         (rank, doc_id, score[, url]) in MSet order. In-process (serving
-        latency path): per-bucket scoring loops over buckets locally, reusing
-        each bucket's postings cache.
+        latency path): the whole index scores as one bucket, reusing the
+        session's postings and stats caches.
 
         grammar: "clean" (default; boundary-guarded splitter, per-token
         chunks — field tags work everywhere), "mdq-exact" (the
@@ -116,21 +123,29 @@ class SearchSession:
 
     def search_node(self, node, k: int | None = None,
                     with_urls: bool = False) -> pa.Table:
-        k = k or self.qcfg.k
-        S = self.reader.S
-        buckets = list(range(S)) if S > 1 else [None]
-        hits = []
-        for b in buckets:
-            ev = self._evaluator(b)
-            ev.prefetch(node)
-            bhits = block_topk_tree(ev, node, k) \
-                if self.qcfg.use_wand else None
-            if bhits is not None:
-                hits.extend(bhits)
-            else:
-                hits.extend(topk_from_scored(ev.evaluate(node), k))
-        hits.sort(key=lambda t: (-t[0], t[1]))
-        hits = hits[:k]
+        """Rank a compiled query tree over the whole index, in-process."""
+        return self.hits_table(self.topk(node, k), with_urls)
+
+    def topk(self, node, k: int | None = None,
+             bucket: int | None = None) -> list[tuple[float, int]]:
+        """[(score, doc_id)] top-k of one doc-bucket (None = the whole
+        index) in MSet order: block-max top-k when enabled and the tree
+        qualifies, else the exhaustive evaluation."""
+        if k is None:
+            k = self.qcfg.k
+        elif k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        ev = self._evaluator(bucket)
+        ev.prefetch(node)  # one batched partition read for the whole tree
+        if self.qcfg.use_wand:
+            hits = block_topk_tree(ev, node, k)
+            if hits is not None:
+                return hits
+        return topk_from_scored(ev.evaluate(node), k)
+
+    def hits_table(self, hits: list[tuple[float, int]],
+                   with_urls: bool = False) -> pa.Table:
+        """(rank, doc_id, score[, url]) table of MSet-ordered hits."""
         doc_ids = [d for _, d in hits]
         cols = {
             "rank": pa.array(range(1, len(hits) + 1), pa.int64()),
@@ -139,17 +154,16 @@ class SearchSession:
         }
         if with_urls:
             urls = self.reader.urls_for(doc_ids)
-            cols["url"] = pa.array([urls.get(d, "") for d in doc_ids])
+            cols["url"] = pa.array([urls.get(d, "") for d in doc_ids],
+                                   pa.string())
         return pa.table(cols)
 
     def count(self, query: str) -> int:
         """Exact match count (get_matches_estimated analog)."""
-        node = parse_user_query(query)
-        total = 0
-        S = self.reader.S
-        for b in (range(S) if S > 1 else [None]):
-            total += len(self._evaluator(b).evaluate(node).ids)
-        return total
+        return self.count_node(parse_user_query(query))
+
+    def count_node(self, node) -> int:
+        return len(self._evaluator(None).evaluate(node).ids)
 
     def get_documents(self, doc_ids: list[int]) -> dict[int, str]:
         """Stored payloads of the given docs — the reference's hit-payload

@@ -3,6 +3,7 @@ oracle, xapian + classic BM25 profiles, boolean algebra, synonym estimation.
 """
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from markdown_query_ray.config import BM25Params, QueryConfig
@@ -89,12 +90,25 @@ def test_wand_matches_exhaustive(built_index, oracle, params):
 
 def test_distributed_equals_local(built_index):
     index_dir, _, _ = built_index
-    node = Or((Term("Zthe"), Term("xqzraretri")))
     qcfg = QueryConfig(k=100, params=BM25Params.xapian())
-    a = search(index_dir, node, qcfg, distributed=True)
-    b = search(index_dir, node, qcfg, distributed=False)
-    assert a.column("doc_id").to_pylist() == b.column("doc_id").to_pylist()
-    assert a.column("score").to_pylist() == b.column("score").to_pylist()
+    nodes = [
+        Or((Term("Zthe"), Term("xqzraretri"))),
+        And((Term("Zthe"), Term("Zand"))),
+        # matches nothing: every bucket task returns an empty block, whose
+        # schema must survive the merge
+        Term("zzznosuchterm"),
+    ]
+    for node in nodes:
+        for with_urls in (False, True):
+            a = search(index_dir, node, qcfg, with_urls=with_urls,
+                       distributed=True)
+            b = search(index_dir, node, qcfg, with_urls=with_urls,
+                       distributed=False)
+            case = (node, with_urls)
+            assert a.schema == b.schema, case
+            assert a.equals(b), case
+            if with_urls:
+                assert a.schema.field("url").type == pa.string(), case
 
 
 def test_boolean_ops_vs_oracle_sets(built_index, oracle):

@@ -108,3 +108,44 @@ def test_actor_pool_serving(ray_session, built_index):
         assert out.equals(local.search(q)), q
     for a in actors:
         ray.kill(a)
+
+
+@pytest.mark.parametrize("use_wand", [True, False], ids=["wand", "exhaustive"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(built_index, k, use_wand):
+    idx, _, _ = built_index
+    with pytest.raises(ValueError):
+        QueryConfig(k=k, use_wand=use_wand)
+    sess = SearchSession(idx, QueryConfig(use_wand=use_wand))
+    with pytest.raises(ValueError):
+        sess.search("merge OR sort", k=k)
+
+
+def test_one_stats_read_per_term(built_index, monkeypatch):
+    """Raw ``IndexReader.term_stats`` reads each term at most once: over a
+    cold one-shot search, and over repeats of one session's search (the
+    session's reader-level cache is the only term-stats cache)."""
+    from collections import Counter
+
+    from markdown_query_ray.index.reader import IndexReader
+
+    idx, _, _ = built_index
+    raw = IndexReader.term_stats
+    reads: Counter = Counter()
+
+    def counting(self, terms):
+        reads.update(set(terms))
+        return raw(self, terms)
+
+    monkeypatch.setattr(IndexReader, "term_stats", counting)
+    qcfg = QueryConfig(k=50, params=BM25Params.xapian())
+    for q in ("the fast merge", "merge AND sort"):
+        reads.clear()
+        qx.search(idx, parse_user_query(q), qcfg, distributed=False)
+        assert reads and max(reads.values()) == 1, (q, reads)
+
+        reads.clear()
+        sess = SearchSession(idx, qcfg)
+        sess.search(q)
+        sess.search(q)
+        assert reads and max(reads.values()) == 1, (q, reads)
