@@ -24,6 +24,34 @@ import pyarrow.parquet as pq
 from ..functions.introselect import nth_element
 from .build import term_part
 
+_MAXCHAR = "\U0010ffff"
+_STATS_COLS = ("term", "termfreq", "collfreq", "wdf_ub")
+
+
+def select_wildcard(stats: dict[str, dict], prefix: str, limit: int = 0,
+                    most_frequent: bool = False) -> list[str]:
+    """The terms a wildcard expands to, selected from a ``term_stats``
+    result that covers the prefix's range (dead terms — post-delta
+    termfreq 0, every holder replaced — are already absent there).
+
+    Without ``most_frequent``: the first ``limit`` matches in term order.
+    With it: the ``limit`` highest-termfreq matches
+    (WILDCARD_LIMIT_MOST_FREQUENT, what FLAG_PARTIAL uses). The subset
+    kept when the cap cuts through a termfreq tie is whatever
+    std::nth_element leaves in the first ``limit`` slots
+    (OrContext::select_most_frequent, api/queryinternal.cc:199-206, over
+    the lexicographic allterms order) — replicated bit-for-bit by
+    functions/introselect.py."""
+    hi = prefix + _MAXCHAR
+    alive = sorted((t, s["termfreq"]) for t, s in stats.items()
+                   if prefix <= t <= hi)
+    if most_frequent and limit and len(alive) > limit:
+        arr = [(f, t) for t, f in alive]
+        nth_element(arr, limit - 1, lambda a, b: a[0] > b[0])
+        return sorted(t for _, t in arr[:limit])
+    terms = [t for t, _ in alive]
+    return terms[:limit] if limit else terms
+
 
 class IndexReader:
     def __init__(self, index_dir: str):
@@ -144,24 +172,33 @@ class IndexReader:
                 tabs.append(t)
         return tabs
 
-    def term_stats(self, terms: list[str]) -> dict[str, dict]:
-        """{term: {termfreq, collfreq, wdf_ub}} for the given terms (absent
-        terms omitted). Predicate-pushdown read of the term_stats dataset;
-        on an updated index, segment stats and the negative deltas of
-        replaced docs sum to EXACT termfreq/collfreq (wdf_ub only widens —
-        still a valid WAND bound)."""
-        if not terms:
+    def term_stats(self, terms: list[str], prefixes: list[str] = ()
+                   ) -> dict[str, dict]:
+        """{term: {termfreq, collfreq, wdf_ub}} for the given terms and, in
+        the same read, for every term under each of ``prefixes`` (absent
+        and dead terms omitted). One predicate-pushdown read of the
+        term_stats dataset; on an updated index, segment stats and the
+        negative deltas of replaced docs sum to EXACT termfreq/collfreq
+        (wdf_ub only widens — still a valid WAND bound)."""
+        terms = list(set(terms))
+        flt = pc.field("term").isin(terms) if terms else None
+        for p in sorted(set(prefixes)):
+            # a prefix range scan: term >= prefix AND term <= prefix+MAXCHAR
+            rng = ((pc.field("term") >= p)
+                   & (pc.field("term") <= p + _MAXCHAR))
+            flt = rng if flt is None else flt | rng
+        if flt is None:
             return {}
-        flt = pc.field("term").isin(list(set(terms)))
-        out: dict[str, dict] = {}
-        for t in self._stats_tables(flt):
-            for r in t.to_pylist():
-                cur = out.setdefault(r["term"], {"termfreq": 0,
-                                                 "collfreq": 0, "wdf_ub": 0})
-                cur["termfreq"] += int(r["termfreq"])
-                cur["collfreq"] += int(r["collfreq"])
-                cur["wdf_ub"] = max(cur["wdf_ub"], int(r["wdf_ub"]))
-        return {k: v for k, v in out.items() if v["termfreq"] > 0}
+        out: dict[str, list[int]] = {}
+        for t in self._stats_tables(flt, columns=list(_STATS_COLS)):
+            for term, tf, cf, wub in zip(
+                    *(t.column(c).to_pylist() for c in _STATS_COLS)):
+                cur = out.setdefault(term, [0, 0, 0])
+                cur[0] += int(tf)
+                cur[1] += int(cf)
+                cur[2] = max(cur[2], int(wub))
+        return {k: {"termfreq": tf, "collfreq": cf, "wdf_ub": wub}
+                for k, (tf, cf, wub) in out.items() if tf > 0}
 
     def term_exists(self, term: str) -> bool:
         """Does the (unstemmed, lowercased) term occur in the live index?
@@ -172,34 +209,13 @@ class IndexReader:
     def expand_wildcard(self, prefix: str, limit: int = 0,
                         most_frequent: bool = False) -> list[str]:
         """Right-truncation expansion over the term dictionary
-        (OP_WILDCARD, api/queryinternal.cc:1019-1126; limit 0 = unlimited).
-        A prefix range scan: term >= prefix AND term < prefix+MAXCHAR.
-        Terms whose post-delta termfreq hits 0 (every holder replaced) are
-        excluded.
-
-        most_frequent: keep the ``limit`` highest-termfreq matches
-        (WILDCARD_LIMIT_MOST_FREQUENT, what FLAG_PARTIAL uses). The subset
-        kept when the cap cuts through a termfreq tie is whatever
-        std::nth_element leaves in the first ``limit`` slots
-        (OrContext::select_most_frequent, api/queryinternal.cc:199-206,
-        over the lexicographic allterms order) — replicated bit-for-bit
-        by functions/introselect.py."""
-        hi = prefix + "\U0010ffff"
-        flt = (pc.field("term") >= prefix) & (pc.field("term") <= hi)
-        freqs: dict[str, int] = {}
-        for t in self._stats_tables(flt, columns=["term", "termfreq"]):
-            for term, tf in zip(t.column("term").to_pylist(),
-                                t.column("termfreq").to_pylist()):
-                freqs[term] = freqs.get(term, 0) + int(tf)
-        alive = {t: f for t, f in freqs.items() if f > 0}
-        if most_frequent and limit and len(alive) > limit:
-            arr = [(f, t) for t, f in sorted(alive.items())]
-            nth_element(arr, limit - 1, lambda a, b: a[0] > b[0])
-            return sorted(t for _, t in arr[:limit])
-        terms = sorted(alive)
-        if limit and len(terms) > limit:
-            terms = terms[:limit]
-        return terms
+        (OP_WILDCARD, api/queryinternal.cc:1019-1126; limit 0 = unlimited):
+        one prefix-range ``term_stats`` read, then :func:`select_wildcard`.
+        The class attribute is called because a ``SearchSession`` shadows
+        ``term_stats`` on its reader with a cache that takes no prefixes.
+        """
+        stats = IndexReader.term_stats(self, [], prefixes=[prefix])
+        return select_wildcard(stats, prefix, limit, most_frequent)
 
     # -- postings ------------------------------------------------------------
     def posting_paths(self, terms: list[str], bucket: int | None = None

@@ -264,11 +264,12 @@ def facet_counts(sf_dir: str, terms: list[str] | None = None,
     """Faceted search (the MatchSpy analog of xapian's per-value result
     spies): per-`facet` counts over the FULL match set of a weighted-OR
     query. Match doc_ids are produced per doc-bucket INSIDE map_batches
-    over a control dataset of bucket ids (the _ScoreBuckets shape — the
-    match set, which is corpus-scale for stopword-grade queries, never
-    collects), the facet column attaches with one doc_id-keyed shuffle
-    join against the pruned (doc_id, facet) projection, and the count
-    is a tiny per-facet groupby."""
+    over a control dataset of bucket ids (unlike a top-k search, whose
+    per-bucket lists are small enough to return from plain Ray tasks, the
+    match set is corpus-scale for stopword-grade queries and must stay
+    in the pipeline, never collected), the facet column attaches with one
+    doc_id-keyed shuffle join against the pruned (doc_id, facet)
+    projection, and the count is a tiny per-facet groupby."""
     import ray.data
     from ray.data.aggregate import Sum
 

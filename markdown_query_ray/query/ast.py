@@ -106,17 +106,18 @@ class ScaleWeight:
     factor: float = 1.0
 
 
-def query_terms(node) -> list[str]:
-    """All concrete term texts in the tree (wildcards excluded)."""
-    out: list[str] = []
+def query_leaves(node) -> tuple[list[str], list[Wildcard]]:
+    """(concrete term texts, wildcard nodes) of the tree, in walk order."""
+    terms: list[str] = []
+    wildcards: list[Wildcard] = []
 
     def walk(n):
         if isinstance(n, Term):
-            out.append(n.text)
+            terms.append(n.text)
         elif isinstance(n, Phrase):
-            out.extend(n.terms)
+            terms.extend(n.terms)
         elif isinstance(n, Wildcard):
-            pass
+            wildcards.append(n)
         elif isinstance(n, (Or, And, Xor, Synonym, EliteSet)):
             for c in n.children:
                 walk(c)
@@ -127,7 +128,12 @@ def query_terms(node) -> list[str]:
             walk(n.child)
 
     walk(node)
-    return out
+    return terms, wildcards
+
+
+def query_terms(node) -> list[str]:
+    """All concrete term texts in the tree (wildcards excluded)."""
+    return query_leaves(node)[0]
 
 
 def describe(node) -> str:

@@ -19,14 +19,19 @@ sequential oracle:
 :func:`search`, :func:`search_bucket` and :func:`count_matches` call into it.
 
 Distribution model: doc-buckets partition the doc-id space, so per-bucket
-top-k lists merge into the global top-k by concatenation (no re-scoring) —
-scorer tasks run as a ``map_batches`` over a control dataset of bucket ids,
-each reading only the partitions ``part-{hash(term) % P * S + bucket}``.
-The driver-side merge keeps the reference's MSet order
-(matcher/msetcmp.cc:51-59 tie-break: score desc, doc_id asc).
+top-k lists merge into the global top-k by concatenation (no re-scoring).
+A distributed search launches one Ray task per bucket (:func:`search_bucket`),
+each reading only the partitions ``part-{hash(term) % P * S + bucket}``,
+and merges the returned lists on the driver (:func:`merge_topk`). It is
+not a Ray Data job: a per-query pipeline over S control rows would pay the
+job start-up on every query, several times the scoring itself. The merge
+keeps the reference's MSet order (matcher/msetcmp.cc:51-59 tie-break:
+score desc, doc_id asc).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -49,6 +54,7 @@ from .ast import (
     Term,
     Wildcard,
     Xor,
+    query_leaves,
     query_terms,
 )
 from .scorer import TermWeight, synonym_termfreq_estimate
@@ -441,30 +447,12 @@ class Evaluator:
         ONE batched read — a cold 4-token partial query otherwise issues
         dozens of per-term parquet reads against the same partition files
         (each OR/SYNONYM child loading lazily)."""
-        terms: list[str] = []
-
-        def walk(n):
-            if isinstance(n, Term):
-                terms.append(n.text)
-            elif isinstance(n, Phrase):
-                terms.extend(n.terms)
-            elif isinstance(n, Wildcard):
-                terms.extend(self.reader.expand_wildcard(
-                    n.prefix, n.limit, n.most_frequent))
-            elif isinstance(n, (Or, And, Xor, Synonym, EliteSet)):
-                for c in n.children:
-                    walk(c)
-            elif isinstance(n, (AndNot, AndMaybe, Filter)):
-                walk(n.left)
-                walk(n.right)
-            elif isinstance(n, ScaleWeight):
-                walk(n.child)
-
-        walk(node)
+        terms, wildcards = query_leaves(node)
+        for w in wildcards:
+            terms.extend(self.reader.expand_wildcard(
+                w.prefix, w.limit, w.most_frequent))
         if terms:
-            uniq = list(dict.fromkeys(terms))
-            self._load_terms(uniq)
-            self.reader.term_stats(uniq)  # one batched read warms the cache
+            self._load_terms(terms)
 
     def weight(self, term: str, wqf: int = 1,
                termfreq: int | None = None) -> TermWeight:
@@ -1012,31 +1000,12 @@ def count_matches(index_dir: str, node,
     return SearchSession(index_dir, qcfg).count_node(node)
 
 
-class _ScoreBuckets:
-    """map_batches body over a control dataset of bucket ids."""
-
-    def __init__(self, index_dir: str, node, qcfg: QueryConfig):
-        self.index_dir = index_dir
-        self.node = node
-        self.qcfg = qcfg
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        scores, ids = [], []
-        for b in batch.column("bucket").to_pylist():
-            for s, d in search_bucket(self.index_dir, self.node,
-                                      self.qcfg, int(b)):
-                scores.append(s)
-                ids.append(d)
-        return pa.table({"score": pa.array(scores, pa.float64()),
-                         "doc_id": pa.array(ids, pa.uint64())})
-
-
 def search(index_dir: str, node, qcfg: QueryConfig | None = None,
            with_urls: bool = False, distributed: bool | None = None
            ) -> pa.Table:
     """Top-k search over a built index. Returns (rank, doc_id, score[, url]).
 
-    With S doc-buckets the per-bucket scorers run as Ray tasks (buckets
+    With S doc-buckets each bucket scores in its own Ray task (buckets
     partition the doc space; their top-k lists merge loss-free). A
     single-bucket index, or ``distributed=False``, scores the whole index
     in-process — the driver is already the merge point, and for one bucket
@@ -1052,17 +1021,15 @@ def search(index_dir: str, node, qcfg: QueryConfig | None = None,
         return sess.search_node(node, with_urls=with_urls)
     import ray
 
-    import ray.data
+    task = _bucket_task()
+    parts = ray.get([task.remote(index_dir, node, sess.qcfg, b)
+                     for b in range(S)])
+    return sess.hits_table(merge_topk(parts, sess.qcfg.k), with_urls)
 
-    ctrl = ray.data.from_items([{"bucket": b} for b in range(S)])
-    res = ctrl.repartition(S).map_batches(
-        _ScoreBuckets(index_dir, node, sess.qcfg),
-        batch_format="pyarrow", batch_size=1)
-    # stay Arrow: a pandas round-trip drops the schema when every block is
-    # empty (a query legitimately matching nothing), and then the column
-    # lookups below would KeyError (same trap as run_query_set)
-    t = pa.concat_tables(ray.get(res.to_arrow_refs()))
-    hits = merge_topk([list(zip(t.column("score").to_pylist(),
-                                t.column("doc_id").to_pylist()))],
-                      sess.qcfg.k)
-    return sess.hits_table(hits, with_urls)
+
+@functools.cache
+def _bucket_task():
+    """``search_bucket`` as a Ray remote function (made once per process)."""
+    import ray
+
+    return ray.remote(search_bucket)

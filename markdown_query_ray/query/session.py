@@ -7,12 +7,16 @@ cross-query caching for free from glass B-tree page caching; the columnar
 rebuild gets it from this session object:
 
 - ``global_stats`` / doc-bucket layout: loaded once (``IndexReader``).
-- per-term stats (the idf inputs): memoized across queries on the
-  session's reader — the one term-stats cache, shared by every evaluator.
+- per-term stats (the idf inputs) and wildcard expansions: memoized
+  across queries on the session's reader — the one term-stats cache and
+  the one expansion cache, shared by every evaluator. ``topk`` resolves
+  every uncached literal term and wildcard prefix of the tree with ONE
+  filtered read of the term dictionary (``IndexReader.term_stats`` with
+  ``prefixes=``); each expansion is then selected from that read
+  (``select_wildcard``). A fully cached tree reads nothing.
 - decoded posting lists: memoized per term in each evaluator — a
   keystroke that extends ``merg`` to ``merge`` re-uses every
   already-decoded list.
-- wildcard expansions: memoized per prefix.
 
 ``SearchSession`` is also the one query driver: ``executor.search``,
 ``executor.search_bucket`` (each distributed bucket task) and
@@ -35,7 +39,8 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..config import QueryConfig
-from ..index.reader import IndexReader
+from ..index.reader import IndexReader, select_wildcard
+from .ast import query_leaves
 from .compiler import parse_user_query
 from .executor import (
     Evaluator,
@@ -52,34 +57,46 @@ class SearchSession:
         # one evaluator per doc-bucket, each with its own postings cache
         self._evs: dict[int | None, Evaluator] = {}
         self._stats_cache: dict[str, dict] = {}
-        self._wc_cache: dict[tuple[str, int], list[str]] = {}
+        self._wc_cache: dict[tuple[str, int, bool], list[str]] = {}
         self._install_caches()
 
     def _install_caches(self) -> None:
         reader = self.reader
-        raw_stats = reader.term_stats
-        raw_wc = reader.expand_wildcard
+        self._raw_stats = reader.term_stats
         stats_cache = self._stats_cache
         wc_cache = self._wc_cache
 
         def cached_stats(terms: list[str]) -> dict[str, dict]:
-            missing = [t for t in set(terms) if t not in stats_cache]
-            if missing:
-                found = raw_stats(missing)
-                for t in missing:
-                    stats_cache[t] = found.get(t)
+            self._resolve(terms, ())
             return {t: stats_cache[t] for t in terms
                     if stats_cache.get(t) is not None}
 
         def cached_wc(prefix: str, limit: int = 0,
                       most_frequent: bool = False) -> list[str]:
             key = (prefix, limit, most_frequent)
-            if key not in wc_cache:
-                wc_cache[key] = raw_wc(prefix, limit, most_frequent)
+            self._resolve((), (key,))
             return wc_cache[key]
 
         reader.term_stats = cached_stats
         reader.expand_wildcard = cached_wc
+
+    def _resolve(self, terms, wildcards) -> None:
+        """Fill the stats and wildcard caches for every uncached term and
+        ``(prefix, limit, most_frequent)`` expansion with ONE raw
+        ``term_stats`` read; a fully cached request reads nothing."""
+        stats_cache = self._stats_cache
+        terms = [t for t in set(terms) if t not in stats_cache]
+        wildcards = [w for w in set(wildcards) if w not in self._wc_cache]
+        if not terms and not wildcards:
+            return
+        found = self._raw_stats(terms,
+                                prefixes=[p for p, _, _ in wildcards])
+        for t in terms:
+            stats_cache[t] = found.get(t)
+        for w in wildcards:
+            expansion = self._wc_cache[w] = select_wildcard(found, *w)
+            for t in expansion:
+                stats_cache[t] = found[t]
 
     def _evaluator(self, bucket: int | None) -> Evaluator:
         ev = self._evs.get(bucket)
@@ -135,6 +152,9 @@ class SearchSession:
             k = self.qcfg.k
         elif k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        terms, wildcards = query_leaves(node)
+        self._resolve(terms, [(w.prefix, w.limit, w.most_frequent)
+                              for w in wildcards])
         ev = self._evaluator(bucket)
         ev.prefetch(node)  # one batched partition read for the whole tree
         if self.qcfg.use_wand:
@@ -247,6 +267,11 @@ REFERENCE_QUERY_SET = [
 ]
 
 
+_QUERY_SET_SCHEMA = pa.schema([("query", pa.string()), ("rank", pa.int64()),
+                               ("doc_id", pa.uint64()),
+                               ("score", pa.float64())])
+
+
 class _QuerySetScorer:
     """map_batches body: one SearchSession per actor (stats/postings caches
     amortize across every query the actor serves)."""
@@ -264,12 +289,7 @@ class _QuerySetScorer:
             ranks.extend(t.column("rank").to_pylist())
             ids.extend(t.column("doc_id").to_pylist())
             scores.extend(t.column("score").to_pylist())
-        return pa.table({
-            "query": pa.array(qs, pa.string()),
-            "rank": pa.array(ranks, pa.int64()),
-            "doc_id": pa.array(ids, pa.uint64()),
-            "score": pa.array(scores, pa.float64()),
-        })
+        return pa.table([qs, ranks, ids, scores], schema=_QUERY_SET_SCHEMA)
 
 
 def run_query_set(index_dir: str, queries: list[str] | None = None,
@@ -278,22 +298,25 @@ def run_query_set(index_dir: str, queries: list[str] | None = None,
     """Answer a whole query set as one Ray Data pipeline: the queries become
     a Dataset, an actor pool of SearchSessions scores them (caches shared
     across the queries each actor serves), and the result is one
-    (query, rank, doc_id, score) table. Ray must already be initialised."""
+    (query, rank, doc_id, score) table — typed and empty when no query
+    matches or the set is empty. Ray must already be initialised."""
     import ray.data
 
     import ray
 
     queries = queries if queries is not None else REFERENCE_QUERY_SET
+    if not queries:
+        return _QUERY_SET_SCHEMA.empty_table()
     ds = ray.data.from_items([{"query": q} for q in queries])
-    n = min(concurrency, max(1, len(queries)))
+    n = min(concurrency, len(queries))
     res = ds.repartition(n).map_batches(
         _QuerySetScorer, fn_constructor_args=(index_dir, qcfg, k),
         batch_format="pyarrow", concurrency=n)
     # stay Arrow: a pandas round-trip drops the schema when every block is
     # empty (all queries legitimately matching nothing)
-    tabs = [t for t in ray.get(res.to_arrow_refs())]
-    nonempty = [t for t in tabs if t.num_rows]
-    return pa.concat_tables(nonempty) if nonempty else tabs[0]
+    nonempty = [t for t in ray.get(res.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(nonempty) if nonempty \
+        else _QUERY_SET_SCHEMA.empty_table()
 
 
 def make_search_actors(index_dir: str, n: int, qcfg: QueryConfig | None = None,

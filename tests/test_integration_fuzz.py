@@ -1,7 +1,8 @@
 """Cross-feature integration fuzz: random corpora through random
 (tokenizer, stem, codec, P, S, block_size, positions) configs, then a
-random update and a compact, comparing WAND and exhaustive top-k against
-the dict-based oracle at every step.
+random update and a compact, comparing WAND and exhaustive top-k, in-process
+and on the default (per-bucket Ray task) path, against the dict-based oracle
+at every step.
 
 Per-feature suites cover each axis in isolation; this test exercises the
 INTERACTIONS (bitpack x tombstones x salted stripes x WAND bounds x stem
@@ -11,6 +12,7 @@ failure reproduces exactly.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
@@ -104,12 +106,16 @@ def _check_queries(rng: random.Random, idx: str, oracle: DictOracle,
         node = Or([Term(t) for t in terms]) if len(terms) > 1 \
             else Term(terms[0])
         expect = oracle.topk(oracle.score_or(terms, params), 10)
-        for use_wand in (False, True):
+        # in-process, then the default path (one Ray task per bucket when
+        # the index has several)
+        for use_wand, distributed in itertools.product((False, True),
+                                                       (False, None)):
             qc = QueryConfig(k=10, params=params, use_wand=use_wand)
-            got = qx.search(idx, node, qc, distributed=False)
+            got = qx.search(idx, node, qc, distributed=distributed)
             gids = got.column("doc_id").to_pylist()
             gscores = got.column("score").to_pylist()
-            ctx = f"{label} wand={use_wand} terms={terms}"
+            ctx = (f"{label} wand={use_wand} distributed={distributed} "
+                   f"terms={terms}")
             assert gids == [d for _, d in expect], ctx
             assert gscores == pytest.approx(
                 [s for s, _ in expect], rel=1e-9), ctx

@@ -205,6 +205,32 @@ def test_wildcard_expansion(built_index, oracle):
     got = ev.evaluate(Wildcard("xqzrare"))
     assert set(got.ids.tolist()) == {42, 43, 44, 45, 46, 47}
 
+    # a most-frequent cap that cuts through a termfreq tie (the subset kept
+    # is nth_element's), resolved by a session in one read shared with
+    # another prefix and a literal term, equals the reader's own expansion
+    from markdown_query_ray.query.session import SearchSession
+
+    cut = None
+    for p in "abcdefghijklmnopqrstuvwxyz":
+        freqs = sorted((s["termfreq"] for s in reader.term_stats(
+            [], prefixes=[p]).values()), reverse=True)
+        ties = [n for n in range(1, len(freqs))
+                if freqs[n - 1] == freqs[n] and freqs[0] > freqs[n]]
+        if ties:
+            cut = (p, ties[len(ties) // 2])
+            break
+    assert cut, "corpus has no prefix whose termfreq ranking has a tie"
+    p, limit = cut
+    want = reader.expand_wildcard(p, limit, True)
+    assert len(want) == limit
+    sess = SearchSession(index_dir, QueryConfig(k=10))
+    node = Or((Wildcard(p, limit, True), Wildcard("xqzrare", 2, True),
+               Term("Zthe")))
+    sess.topk(node)
+    assert sess.reader.expand_wildcard(p, limit, True) == want
+    assert sess.reader.expand_wildcard("xqzrare", 2, True) == \
+        reader.expand_wildcard("xqzrare", 2, True)
+
 
 def test_empty_and_missing_terms(built_index):
     index_dir, _, _ = built_index

@@ -82,6 +82,8 @@ def test_run_query_set_matches_oneshot(ray_session, built_index):
     ]
     table = run_query_set(idx, qset, qcfg, k=20, concurrency=2)
     assert table.num_rows > 0
+    empty = run_query_set(idx, [], qcfg, k=20, concurrency=2)
+    assert empty.num_rows == 0 and empty.schema.equals(table.schema)
     local = SearchSession(idx, qcfg)
     for q in qset:
         import pyarrow.compute as pc
@@ -131,13 +133,21 @@ def test_one_stats_read_per_term(built_index, monkeypatch):
 
     idx, _, _ = built_index
     raw = IndexReader.term_stats
+    raw_wc = IndexReader.expand_wildcard
     reads: Counter = Counter()
+    calls: Counter = Counter()
 
-    def counting(self, terms):
+    def counting(self, terms, prefixes=()):
+        calls["term_stats"] += 1
         reads.update(set(terms))
-        return raw(self, terms)
+        return raw(self, terms, prefixes=prefixes)
+
+    def counting_wc(self, *args, **kwargs):
+        calls["expand_wildcard"] += 1
+        return raw_wc(self, *args, **kwargs)
 
     monkeypatch.setattr(IndexReader, "term_stats", counting)
+    monkeypatch.setattr(IndexReader, "expand_wildcard", counting_wc)
     qcfg = QueryConfig(k=50, params=BM25Params.xapian())
     for q in ("the fast merge", "merge AND sort"):
         reads.clear()
@@ -149,3 +159,17 @@ def test_one_stats_read_per_term(built_index, monkeypatch):
         sess.search(q)
         sess.search(q)
         assert reads and max(reads.values()) == 1, (q, reads)
+
+    # a multi-prefix partial query: every literal term and every wildcard
+    # prefix resolves in ONE dictionary read, per bucket task or session;
+    # warm (any bucket of the same session) it reads nothing
+    node = parse_user_query("the fast merg")
+    sess = SearchSession(idx, qcfg)
+    calls.clear()
+    sess.topk(node, bucket=0)
+    assert calls == {"term_stats": 1}, calls
+    calls.clear()
+    sess.topk(node, bucket=0)
+    sess.topk(node, bucket=1)
+    sess.topk(node)
+    assert not calls, calls

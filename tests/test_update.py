@@ -280,6 +280,15 @@ def test_update_exact_term_stats(base_index, tmp_path):
     assert st["delta"]["termfreq"] == 1
     assert "doc3" not in st               # df fell to 0: term is dead
     assert reader.expand_wildcard("doc3") == []
+    # the session's one-read resolution drops the dead term the same way
+    from markdown_query_ray.query.ast import Wildcard
+    from markdown_query_ray.query.session import SearchSession
+
+    sess = SearchSession(idx)
+    assert sess.topk(Or((Wildcard("doc3"), Wildcard("doc3", 100, True),
+                         Term("alpha")))) != []
+    assert sess.reader.expand_wildcard("doc3") == []
+    assert sess.reader.expand_wildcard("doc3", 100, True) == []
     assert reader.n_docs == 20
     # avg doclen is exact: doc3 had 4 tokens, replacement has 3
     doclens = [len(t.split()) for _, t in rows]
