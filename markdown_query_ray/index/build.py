@@ -23,10 +23,12 @@ by its per-doc-range postings, and because posting blocks are keyed
 (term, first_doc_id), the salted sub-lists are already disjoint sorted runs
 that need no second-pass merge (only term_stats needs a tiny final groupby).
 
-Each shuffle group writes its own parquet file atomically (tmp+rename) and
-returns a manifest row; a re-run skips groups whose output file exists — the
-per-partition checkpoint/resume story (the reference's analog is idempotent
-upsert-by-key, backends/database.cc:193-208).
+Each shuffle group writes its own parquet file atomically
+(``checkpoint.write_table``) and returns a manifest row; a re-run skips
+groups whose output file exists — the per-partition checkpoint/resume story
+(the reference's analog is idempotent upsert-by-key,
+backends/database.cc:193-208). Every write and commit marker goes through
+``markdown_query_ray/checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import checkpoint
 from ..config import IndexConfig
 from ..sources.pages import file_row_counts, read_pages
 from ..stages.extract import extract_batch
@@ -244,7 +247,8 @@ def _write_url_map_group(group: pa.Table, out_dir: str) -> pa.Table:
     b = int(group.column("ubucket")[0].as_py())
     path = os.path.join(out_dir, "url_map", f"umap-{b:04d}.parquet")
     if not os.path.exists(path):
-        _write_atomic(group.select(["url", "doc_id", "doclen"]), path)
+        checkpoint.write_table(group.select(["url", "doc_id", "doclen"]),
+                               path)
     return pa.table({"bucket": pa.array([b], pa.int32()),
                      "rows": pa.array([group.num_rows], pa.int64())})
 
@@ -255,7 +259,7 @@ def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table | None:
     never scans the segment's corpus. Returns None when the segment predates
     the url map (callers fall back to the tokenized scan)."""
     um_dir = os.path.join(seg_dir, "url_map")
-    if not os.path.exists(os.path.join(um_dir, "_SUCCESS")):
+    if not checkpoint.is_done(um_dir, "_SUCCESS"):
         return None
     from ..functions.hashing import fnv1a64_strings
 
@@ -278,44 +282,6 @@ def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table | None:
     return pa.table({"doc_id": out.column("doc_id").cast(pa.uint64()),
                      "url": out.column("url"),
                      "doclen": out.column("doclen").cast(pa.uint32())})
-
-
-def _clear_parquet_dir(d: str) -> None:
-    """Remove stale parquet output (incl. write tmp files) from an
-    incomplete multi-file write so a re-run starts clean."""
-    if not os.path.isdir(d):
-        return
-    for f in os.listdir(d):
-        if f.endswith(".parquet") or ".parquet.tmp" in f or ".tmp-" in f:
-            try:
-                os.remove(os.path.join(d, f))
-            except FileNotFoundError:
-                pass
-
-
-def _write_atomic(table: pa.Table, path: str, **kw) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + f".tmp-{os.getpid()}"
-    pq.write_table(table, tmp, **kw)
-    os.replace(tmp, path)
-
-
-def _write_text_atomic(text: str, path: str) -> None:
-    """Crash-safe metadata write (tmp + fsync + rename + dir fsync): a torn
-    global_stats / manifest / segments file must never be observable, even
-    across power loss — without the fsyncs the rename can hit disk before
-    the data blocks on some filesystems."""
-    tmp = path + f".tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        f.write(text)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    dfd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dfd)
-    finally:
-        os.close(dfd)
 
 
 def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
@@ -353,7 +319,8 @@ def encode_write_group(group: pa.Table, out_dir: str,
         if not os.path.exists(spath):  # resume across the partial write
             blocks = pq.read_table(
                 path, columns=["term", "n", "sum_wdf", "max_wdf"])
-            _write_atomic(_stats_partial_from_blocks(blocks), spath)
+            checkpoint.write_table(_stats_partial_from_blocks(blocks),
+                                   spath)
         meta = pq.ParquetFile(path).metadata
         return _manifest_row(skey, path, meta.num_rows, n_rows, 0,
                              resumed=True, seconds=0.0)
@@ -369,9 +336,10 @@ def encode_write_group(group: pa.Table, out_dir: str,
                               block_size=cfg.block_size,
                               stripe_size=stripe, codec=cfg.codec,
                               **pos_kw)
-    _write_atomic(_stats_partial_from_blocks(blocks), spath)
-    _write_atomic(blocks, path, row_group_size=4096,
-                  use_dictionary=["term"])  # postings last: the resume marker
+    checkpoint.write_table(_stats_partial_from_blocks(blocks), spath)
+    # postings last: the resume marker
+    checkpoint.write_table(blocks, path, row_group_size=4096,
+                           use_dictionary=["term"])
     return _manifest_row(skey, path, len(blocks), n_rows,
                          os.path.getsize(path), resumed=False,
                          seconds=time.perf_counter() - t0)
@@ -396,7 +364,6 @@ def build_index(out_dir: str,
     cfg = cfg or IndexConfig()
     os.makedirs(out_dir, exist_ok=True)
     tok_dir = os.path.join(out_dir, "tokenized")
-    tok_done = os.path.join(tok_dir, "_SUCCESS")
     metrics: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -411,12 +378,9 @@ def build_index(out_dir: str,
 
     # ---- stage 1: extract + tokenize -> staging checkpoint -----------------
     t0 = time.perf_counter()
-    if not os.path.exists(tok_done):
+    if not checkpoint.is_done(tok_dir, "_SUCCESS"):
         # a crash mid-write leaves partial staging files with no _SUCCESS;
-        # the rewrite would ADD fresh files beside them (Ray names output
-        # files per run) and the reader would see duplicated docs — clear
-        # stale output before rewriting
-        _clear_parquet_dir(tok_dir)
+        # write_dataset clears them before rewriting
         if dataset is None:
             ds = read_pages(sorted(paths), columns=["url", "html"])
         else:
@@ -445,9 +409,8 @@ def build_index(out_dir: str,
                 TokenizeStage(cfg), batch_format="pyarrow",
                 batch_size=cfg.tokenize_batch_size,
                 concurrency=concurrency)
-        tok.write_parquet(tok_dir)
-        with open(tok_done, "w") as f:
-            f.write("ok")
+        checkpoint.write_dataset(tok, tok_dir)
+        checkpoint.mark_done(tok_dir, "_SUCCESS")
     _mark("extract_tokenize", t0)
 
     tokds = ray.data.read_parquet(tok_dir,
@@ -459,9 +422,10 @@ def build_index(out_dir: str,
     # small shuffle of (url, doc_id, doclen) rows into URL_MAP_BUCKETS
     # bucket files; lookups read only the buckets their urls hash to.
     t0 = time.perf_counter()
-    um_done = os.path.join(out_dir, "url_map", "_SUCCESS")
-    if "url" in tokds.schema().names and not os.path.exists(um_done):
-        _clear_parquet_dir(os.path.join(out_dir, "url_map"))
+    um_dir = os.path.join(out_dir, "url_map")
+    if "url" in tokds.schema().names and \
+            not checkpoint.is_done(um_dir, "_SUCCESS"):
+        checkpoint.clear_dir(um_dir)
         tok_rows = sum(
             pq.ParquetFile(os.path.join(tok_dir, f)).metadata.num_rows
             for f in os.listdir(tok_dir) if f.endswith(".parquet"))
@@ -487,8 +451,7 @@ def build_index(out_dir: str,
             ).groupby("ubucket").map_groups(
                 _partial(_write_url_map_group, out_dir=out_dir),
                 batch_format="pyarrow").materialize()
-        with open(um_done, "w") as f:
-            f.write("ok")
+        checkpoint.mark_done(um_dir, "_SUCCESS")
     _mark("url_map", t0)
 
     # ---- stage 2: global stats (per-file partials, driver reduce) ----------
@@ -562,7 +525,7 @@ def build_index(out_dir: str,
         batch_format="pyarrow")
     man_table = pa.Table.from_pandas(manifest.to_pandas(), preserve_index=False)
     man_path = os.path.join(out_dir, "_manifest.jsonl")
-    _write_text_atomic(
+    checkpoint.write_text(
         "".join(json.dumps(row) + "\n" for row in man_table.to_pylist()),
         man_path)
     _mark("merge_shuffle_encode", t0)
@@ -586,7 +549,7 @@ def build_index(out_dir: str,
     ts_dir = os.path.join(out_dir, "term_stats")
     tsp_dir = os.path.join(out_dir, "term_stats_parts")
     t0 = time.perf_counter()
-    _clear_parquet_dir(ts_dir)  # always recomputed; drop any stale output
+    checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
     partial_rows = sum(
         pq.ParquetFile(os.path.join(tsp_dir, f)).metadata.num_rows
         for f in os.listdir(tsp_dir) if f.endswith(".parquet"))
@@ -602,8 +565,9 @@ def build_index(out_dir: str,
         })
         merged = merged.take(pc.sort_indices(
             merged, sort_keys=[("term", "ascending")]))
-        _write_atomic(merged, os.path.join(ts_dir, "part-000000.parquet"),
-                      row_group_size=1 << 16)
+        checkpoint.write_table(
+            merged, os.path.join(ts_dir, "part-000000.parquet"),
+            row_group_size=1 << 16)
         gstats["wdf_ub_global"] = int(
             pc.max(merged.column("wdf_ub")).as_py() or 0)
     else:
@@ -613,7 +577,7 @@ def build_index(out_dir: str,
             Sum("collfreq", alias_name="collfreq"),
             Max("wdf_ub", alias_name="wdf_ub"),
         )
-        term_stats.write_parquet(ts_dir)
+        checkpoint.write_dataset(term_stats, ts_dir)
         from ray.data.aggregate import Max as _Max
         mx = ray.data.read_parquet(
             tsp_dir, file_extensions=["parquet"]).aggregate(
@@ -626,15 +590,15 @@ def build_index(out_dir: str,
     if gstats["n_docs"]:
         metrics["docs_per_sec"] = round(gstats["n_docs"] / metrics["total"], 2)
     gstats["stage_metrics"] = metrics
-    _write_text_atomic(json.dumps(gstats, indent=1),
-                       os.path.join(out_dir, "global_stats.json"))
-    _write_text_atomic(json.dumps(metrics, indent=1),
-                       os.path.join(out_dir, "_metrics.json"))
+    checkpoint.write_text(json.dumps(gstats, indent=1),
+                          os.path.join(out_dir, "global_stats.json"))
+    checkpoint.write_text(json.dumps(metrics, indent=1),
+                          os.path.join(out_dir, "_metrics.json"))
     # initial segment registry: updates treat segments.json as the atomic
     # commit point, and its embedded stats snapshot is what lets a crashed
     # update re-run without double-counting — so it must exist (and hold
     # the untainted base stats) BEFORE any update mutates global_stats.json
-    _write_text_atomic(
+    checkpoint.write_text(
         json.dumps({"segments": ["."], "next_doc_id": next_doc_id,
                     "next_gen": 1, "global_stats": gstats}, indent=1),
         os.path.join(out_dir, "segments.json"))

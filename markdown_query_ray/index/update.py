@@ -38,8 +38,9 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from .. import checkpoint
 from ..config import IndexConfig
-from .build import _write_atomic, _write_text_atomic, build_index
+from .build import build_index
 
 
 def _segments_path(index_dir: str) -> str:
@@ -267,8 +268,8 @@ def _load_commit_state(index_dir: str) -> tuple[dict, dict]:
     g = segs.get("global_stats", g)
     if not os.path.exists(_segments_path(index_dir)):
         segs.setdefault("global_stats", g)
-        _write_text_atomic(json.dumps(segs, indent=1),
-                           _segments_path(index_dir))
+        checkpoint.write_text(json.dumps(segs, indent=1),
+                              _segments_path(index_dir))
     return g, segs
 
 
@@ -278,16 +279,13 @@ def _write_gen_tombstones(index_dir: str, segs: dict, gen: int,
     (NEGATIVE rows keeping termfreq/collfreq exact, or empty in
     ``"stale"`` mode — deferred to compaction). Atomic per file; safe
     to re-run for the same generation."""
-    os.makedirs(os.path.join(index_dir, "tombstones"), exist_ok=True)
-    _write_atomic(pa.table({"doc_id": pa.array(old_ids)}),
-                  os.path.join(index_dir, "tombstones",
-                               f"gen-{gen:04d}.parquet"))
+    checkpoint.write_table(pa.table({"doc_id": pa.array(old_ids)}),
+                           os.path.join(index_dir, "tombstones",
+                                        f"gen-{gen:04d}.parquet"))
     deltas = (_empty_deltas() if stats_mode == "stale"
               else _stats_deltas_for(index_dir, segs, old_ids))
-    os.makedirs(os.path.join(index_dir, "term_stats_deltas"),
-                exist_ok=True)
-    _write_atomic(deltas, os.path.join(index_dir, "term_stats_deltas",
-                                       f"gen-{gen:04d}.parquet"))
+    checkpoint.write_table(deltas, os.path.join(
+        index_dir, "term_stats_deltas", f"gen-{gen:04d}.parquet"))
 
 
 def update_index(index_dir: str,
@@ -335,14 +333,11 @@ def update_index(index_dir: str,
     gen = segs["next_gen"]
     seg_rel = os.path.join("updates", f"gen-{gen:04d}")
     seg_dir = os.path.join(index_dir, seg_rel)
-    if os.path.isdir(seg_dir):
-        # an uncommitted generation dir from a crashed attempt may hold a
-        # staged build of DIFFERENT input; its checkpoints would silently
-        # short-circuit this run's build (and drop this run's docs), so
-        # clear it — correctness over resuming one in-flight update batch
-        import shutil
-
-        shutil.rmtree(seg_dir)
+    # an uncommitted generation dir from a crashed attempt may hold a
+    # staged build of DIFFERENT input; its checkpoints would silently
+    # short-circuit this run's build (and drop this run's docs), so
+    # clear it — correctness over resuming one in-flight update batch
+    checkpoint.clear_dir(seg_dir)
 
     # ---- build the delta segment as a complete mini-index ------------------
     import ray.data
@@ -381,14 +376,15 @@ def update_index(index_dir: str,
         "wdf_ub_global": max(g.get("wdf_ub_global", 0),
                              gseg.get("wdf_ub_global", 0)),
     })
-    _write_text_atomic(json.dumps(g, indent=1),
-                       os.path.join(index_dir, "global_stats.json"))
+    checkpoint.write_text(json.dumps(g, indent=1),
+                          os.path.join(index_dir, "global_stats.json"))
 
     segs["segments"].append(seg_rel)
     segs["next_doc_id"] = segs["next_doc_id"] + gseg["n_docs"]
     segs["next_gen"] = gen + 1
     segs["global_stats"] = g  # snapshot travels with the commit point
-    _write_text_atomic(json.dumps(segs, indent=1), _segments_path(index_dir))
+    checkpoint.write_text(json.dumps(segs, indent=1),
+                          _segments_path(index_dir))
     return g
 
 
@@ -432,12 +428,12 @@ def delete_documents(index_dir: str, urls: list[str],
         # doclen/wdf bounds stay as-is: only ever conservative for WAND,
         # compaction re-proves them tight
     })
-    _write_text_atomic(json.dumps(g, indent=1),
-                       os.path.join(index_dir, "global_stats.json"))
+    checkpoint.write_text(json.dumps(g, indent=1),
+                          os.path.join(index_dir, "global_stats.json"))
     segs["next_gen"] = gen + 1
     segs["global_stats"] = g
-    _write_text_atomic(json.dumps(segs, indent=1),
-                       _segments_path(index_dir))
+    checkpoint.write_text(json.dumps(segs, indent=1),
+                          _segments_path(index_dir))
     return g
 
 

@@ -411,9 +411,9 @@ def bpe_pack_shards(ds, model: BpeModel, out_dir: str,
        per-token Python;
     3. ``groupby(seq_id // seqs_per_shard)`` assembles each shard's
        contiguous token range, re-slices every ``seq_len``, and writes
-       the shard parquet ATOMICALLY (tmp + rename — deterministic
-       content, so crash re-runs are idempotent and a finished shard
-       is never half-visible).
+       the shard parquet ATOMICALLY (``checkpoint.write_table`` —
+       deterministic content, so crash re-runs are idempotent and a
+       finished shard is never half-visible).
 
     ``range_size`` bounds a bucket group's token payload in worker
     heap (~0.5 GB at 2^18 docs x 500 tokens) while keeping the driver's
@@ -491,7 +491,7 @@ def bpe_pack_shards(ds, model: BpeModel, out_dir: str,
         return b.append_column("shard", pa.array(sh))
 
     def write_shard(group: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+        from .. import checkpoint
 
         if group.num_rows == 0:
             return pa.table({"shard_id": pa.array([], pa.int64()),
@@ -518,9 +518,7 @@ def bpe_pack_shards(ds, model: BpeModel, out_dir: str,
             "token_ids": pa.FixedSizeListArray.from_arrays(
                 pa.array(body.reshape(-1), pa.int32()), seq_len),
         })
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        checkpoint.write_table(t, path)
         return pa.table({"shard_id": pa.array([shard], pa.int64()),
                          "n_seqs": pa.array([n_full], pa.int64()),
                          "n_tokens": pa.array([n_full * seq_len],

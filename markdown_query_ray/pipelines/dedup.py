@@ -914,6 +914,11 @@ def _bucket_cross_pair_scan(group: pa.Table) -> pa.Table:
     })
 
 
+# the base-signature checkpoint's files (an empty base pins a 0-row file)
+_SIG_SCHEMA = pa.schema([("doc_id", pa.int64()),
+                         ("minhash", pa.list_(pa.uint64()))])
+
+
 def _sidecar_load(path: str):
     """Parse a signature-checkpoint sidecar. A missing, truncated
     (crash mid-write predating the atomic writer), or legacy file with
@@ -934,20 +939,6 @@ def _sidecar_load(path: str):
             or not isinstance(meta.get("gens"), list):
         return None
     return meta
-
-
-def _sidecar_write(path: str, meta: dict) -> None:
-    """tmp + fsync + os.replace — the sidecar either exists complete
-    or not at all (it is the checkpoint's commit point)."""
-    import json
-    import os
-
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def _base_fingerprint(ds, split: int | None = None) -> dict:
@@ -1046,10 +1037,12 @@ def incremental_minhash_pairs(base_ds, new_ds, threshold: float = 0.7,
     new_sigs = new_ds.map_batches(_tag(1), batch_format="pyarrow") \
         .map_batches(stage, batch_format="pyarrow", concurrency=None)
     if base_sigs_dir is not None:
-        import shutil
+        import json
 
         import pyarrow.compute as pc
         import ray.data
+
+        from .. import checkpoint
 
         params = {"num_hashes": num_hashes, "w": w, "sig_mode": sig_mode}
         meta_p = os.path.join(base_sigs_dir, "_SIG_PARAMS.json")
@@ -1063,26 +1056,26 @@ def incremental_minhash_pairs(base_ds, new_ds, threshold: float = 0.7,
                     "checkpoint or match the parameters")
 
         def _sign_to(sub_ds, gen_dir):
-            shutil.rmtree(gen_dir, ignore_errors=True)  # crashed attempt
-            (sub_ds.map_batches(_tag(0), batch_format="pyarrow")
-             .map_batches(stage, batch_format="pyarrow", concurrency=None)
-             .map_batches(lambda b: b.select(["doc_id", "minhash"]),
-                          batch_format="pyarrow")
-             .write_parquet(gen_dir))
+            checkpoint.write_dataset(
+                sub_ds.map_batches(_tag(0), batch_format="pyarrow")
+                .map_batches(stage, batch_format="pyarrow", concurrency=None)
+                .map_batches(lambda b: b.select(["doc_id", "minhash"]),
+                             batch_format="pyarrow"),
+                gen_dir, _SIG_SCHEMA)
 
         if meta is None:
             # fresh (or unparseable/legacy — regenerate): generation 0
             # signatures the whole current base
             fp = _base_fingerprint(base_ds)
             gens = ["gen-000000"]
-            shutil.rmtree(os.path.join(base_sigs_dir, "sigs"),
-                          ignore_errors=True)  # pre-fingerprint layout
+            # pre-fingerprint layout
+            checkpoint.clear_dir(os.path.join(base_sigs_dir, "sigs"))
             _sign_to(base_ds, os.path.join(base_sigs_dir, gens[0]))
-            os.makedirs(base_sigs_dir, exist_ok=True)
             meta = {**params, "n_docs": fp["n_docs"],
                     "max_doc_id": fp["max_doc_id"],
                     "idh_sum": fp["idh_sum"], "gens": gens}
-            _sidecar_write(meta_p, meta)  # commit point, written last
+            # commit point, written last
+            checkpoint.write_text(json.dumps(meta), meta_p)
         else:
             fp = _base_fingerprint(base_ds, split=meta["max_doc_id"])
             same = (fp["n_docs"] == meta["n_docs"]
@@ -1119,7 +1112,7 @@ def incremental_minhash_pairs(base_ds, new_ds, threshold: float = 0.7,
                         "max_doc_id": fp["max_doc_id"],
                         "idh_sum": fp["idh_sum"],
                         "gens": meta["gens"] + [gen]}
-                _sidecar_write(meta_p, meta)  # commit point
+                checkpoint.write_text(json.dumps(meta), meta_p)  # commit
         import glob
 
         gen_files = sorted(

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .. import __version__
+from .. import __version__, checkpoint
 from ..config import BM25Params, IndexConfig, QueryConfig
 from ..index.build import build_index
 from ..index.reader import IndexReader
@@ -28,6 +28,11 @@ from ..query import executor as qx
 from ..query.ast import And, AndNot, Or, Term, Xor
 
 _CACHE_ROOT = "/tmp/mdq_ray_cache"
+
+# the crawl-refresh checkpoints' row shape (gated batch and survivors)
+_REFRESH_DOC_SCHEMA = pa.schema([
+    ("doc_id", pa.int64()), ("text", pa.string()), ("lang", pa.string()),
+    ("url", pa.string())])
 
 
 def _docs_dataset(sf_dir: str):
@@ -55,14 +60,12 @@ def documents_index(sf_dir: str, positions: bool = False,
         tag += f"-{codec}"
     key = hashlib.md5(f"{sf_dir}|v{__version__}|{tag}".encode()).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"docs-{key}")
-    done = os.path.join(out, "_INDEX_DONE")
-    if not os.path.exists(done):
+    if not checkpoint.is_done(out, "_INDEX_DONE"):
         cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=8,
                           num_doc_buckets=1, block_size=128,
                           positions=positions, codec=codec)
         build_index(out, dataset=_docs_dataset(sf_dir), cfg=cfg)
-        with open(done, "w") as f:
-            f.write("ok")
+        checkpoint.mark_done(out, "_INDEX_DONE")
     return out
 
 
@@ -535,6 +538,25 @@ def asof_range_join(sf_dir: str) -> pa.Table:
         "click_id_sum", pa.array(out_s, pa.int64()))
 
 
+def _domain_rows(batch: pa.Table) -> pa.Table:
+    """(domain, doc_id[, n_chars]) per documents row: the PSL registered
+    domain of the doc's synthesized messy url after canonicalization
+    (webnorm); n_chars rides along when the batch carries it."""
+    from .webnorm import (
+        canonical_url_batch,
+        registered_domain_batch,
+        synth_messy_urls_batch,
+    )
+
+    b = registered_domain_batch(canonical_url_batch(
+        synth_messy_urls_batch(batch)))
+    cols = {"domain": b.column("domain"),
+            "doc_id": b.column("doc_id").cast(pa.int64())}
+    if "n_chars" in b.column_names:
+        cols["n_chars"] = b.column("n_chars").cast(pa.int64())
+    return pa.table(cols)
+
+
 def domain_topk_docs(sf_dir: str, k: int = 3) -> pa.Table:
     """Per-registered-domain document cap: the top-k docs of each domain
     by (n_chars DESC, doc_id ASC) with a 1-based rank — the domain
@@ -543,26 +565,11 @@ def domain_topk_docs(sf_dir: str, k: int = 3) -> pa.Table:
     import ray.data
 
     from .topk import groupwise_topk
-    from .webnorm import (
-        canonical_url_batch,
-        registered_domain_batch,
-        synth_messy_urls_batch,
-    )
-
-    def to_domain_rows(batch: pa.Table) -> pa.Table:
-        b = synth_messy_urls_batch(batch)
-        b = canonical_url_batch(b)
-        b = registered_domain_batch(b)
-        return pa.table({
-            "domain": b.column("domain"),
-            "doc_id": b.column("doc_id").cast(pa.int64()),
-            "n_chars": b.column("n_chars").cast(pa.int64()),
-        })
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id", "n_chars"])
     res = groupwise_topk(
-        ds.map_batches(to_domain_rows, batch_format="pyarrow"),
+        ds.map_batches(_domain_rows, batch_format="pyarrow"),
         key="domain",
         order=[("n_chars", "descending"), ("doc_id", "ascending")], k=k)
     t = _collect(res).sort_by([("domain", "ascending"),
@@ -1229,8 +1236,7 @@ def flagship_search(sf_dir: str, query: str = "the fast merge",
     key = hashlib.md5(
         f"{sf_dir}|v{__version__}|xapian".encode()).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"pages-{key}")
-    done = os.path.join(out, "_INDEX_DONE")
-    if not os.path.exists(done):
+    if not checkpoint.is_done(out, "_INDEX_DONE"):
         pages = pages_from_documents(sf_dir)
         ids = pages.column("url").to_pylist()
         pages = pages.append_column(
@@ -1240,8 +1246,7 @@ def flagship_search(sf_dir: str, query: str = "the fast merge",
         cfg = IndexConfig(tokenizer="xapian", stem=True, num_term_parts=8,
                           num_doc_buckets=2, block_size=128)
         build_index(out, dataset=ds, cfg=cfg, total_docs=len(ids))
-        with open(done, "w") as f:
-            f.write("ok")
+        checkpoint.mark_done(out, "_INDEX_DONE")
     node = parse_user_query(query)
     res = qx.search(out, node, QueryConfig(k=k, params=BM25Params.xapian()),
                     with_urls=True)
@@ -1674,16 +1679,14 @@ def warc_extract(sf_dir: str) -> pa.Table:
     key = hashlib.md5(
         f"{sf_dir}|v{__version__}|warc".encode()).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"warc-{key}")
-    done = os.path.join(out, "_DONE")
-    if not os.path.exists(done):
+    if not checkpoint.is_done(out, "_DONE"):
         os.makedirs(out, exist_ok=True)
         pages = pages_from_documents(sf_dir)
         per = max(1, pages.num_rows // 4)
         for f in range(0, pages.num_rows, per):
             write_warc_file(pages.slice(f, per),
                             os.path.join(out, f"crawl-{f:08d}.warc.gz"))
-        with open(done, "w") as fh:
-            fh.write("ok")
+        checkpoint.mark_done(out, "_DONE")
     import glob
 
     ds = read_warc(glob.glob(os.path.join(out, "*.warc.gz")))
@@ -1726,11 +1729,9 @@ def composite_pipeline(sf_dir: str, min_tokens: int = 30,
         f"{sf_dir}|v{__version__}|composite-{min_tokens}".encode()
     ).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"composite-{key}")
-    done = os.path.join(out, "_INDEX_DONE")
     if fresh:  # bench mode: time the actual build, not a cache hit
-        import shutil
-        shutil.rmtree(out, ignore_errors=True)
-    if not os.path.exists(done):
+        checkpoint.clear_dir(out)
+    if not checkpoint.is_done(out, "_INDEX_DONE"):
         ds = _docs_dataset(sf_dir)
 
         def quality_gate(b: pa.Table) -> pa.Table:
@@ -1742,28 +1743,12 @@ def composite_pipeline(sf_dir: str, min_tokens: int = 30,
         cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=8,
                           num_doc_buckets=1, block_size=128)
         build_index(out, dataset=survivors, cfg=cfg)
-        with open(done, "w") as f:
-            f.write("ok")
+        checkpoint.mark_done(out, "_INDEX_DONE")
     node = _or_node(terms)
     qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
     res = qx.search(out, node, qcfg).select(["rank", "doc_id", "score"])
     res = res.set_column(1, "doc_id", res.column("doc_id").cast(pa.int64()))
     return _round_col(res, "score")
-
-
-def _ensure_nonempty_parquet(dir_path: str, schema: pa.Schema) -> None:
-    """Ray's write_parquet on an EMPTY dataset creates no files (and
-    possibly no directory); pin the schema with an explicit empty file
-    so the immediate read_parquet — and everything downstream — sees a
-    valid 0-row table instead of FileNotFoundError."""
-    import glob as _glob
-
-    if not _glob.glob(os.path.join(dir_path, "*.parquet")):
-        import pyarrow.parquet as _pq
-
-        os.makedirs(dir_path, exist_ok=True)
-        _pq.write_table(schema.empty_table(),
-                        os.path.join(dir_path, "empty.parquet"))
 
 
 def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
@@ -1781,8 +1766,6 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
     whole refresh, including the updated corpus-dependent BM25 stats —
     this is the driver-contract exercise of the update path (previously
     pytest-only: update/compact rank-identity suites)."""
-    import shutil
-
     import ray.data
 
     from ..index.update import update_index
@@ -1795,10 +1778,9 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
         f"{sf_dir}|v{__version__}|refresh-{min_tokens}".encode()
     ).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"refresh-{key}")
-    done = os.path.join(out, "_REFRESH_DONE")
     if fresh:  # bench mode: time the actual build+update, not a cache hit
-        shutil.rmtree(out, ignore_errors=True)
-    if not os.path.exists(done):
+        checkpoint.clear_dir(out)
+    if not checkpoint.is_done(out, "_REFRESH_DONE"):
         full = _docs_dataset(sf_dir)
 
         def half(keep_new: bool):
@@ -1825,17 +1807,11 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
         # column-pruned read. The base side's dedup passes likewise read
         # only (doc_id, text) straight from the source parquet.
         ckpt = os.path.join(out, "_gated_new")
-        # write_parquet defaults to APPEND: a crashed earlier attempt
-        # (no _REFRESH_DONE yet) must not leave stale files that would
-        # duplicate rows on the re-run
-        shutil.rmtree(ckpt, ignore_errors=True)
-        (_docs_dataset(sf_dir)
-         .map_batches(half(True), batch_format="pyarrow")
-         .map_batches(quality_gate, batch_format="pyarrow")
-         .write_parquet(ckpt))
-        _ensure_nonempty_parquet(ckpt, pa.schema(
-            [("doc_id", pa.int64()), ("text", pa.string()),
-             ("lang", pa.string()), ("url", pa.string())]))
+        checkpoint.write_dataset(
+            _docs_dataset(sf_dir)
+            .map_batches(half(True), batch_format="pyarrow")
+            .map_batches(quality_gate, batch_format="pyarrow"),
+            ckpt, _REFRESH_DOC_SCHEMA)
         gated = ray.data.read_parquet(ckpt)
         gated_slim = ray.data.read_parquet(
             ckpt, columns=["doc_id", "text"])
@@ -1851,30 +1827,23 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
             lambda b: pa.table(
                 {"doc_id": b.column("doc_b").cast(pa.int64())}),
             batch_format="pyarrow")
-        survivors = hash_anti_join(
-            gated, flagged, "doc_id",
-            pa.schema([("doc_id", pa.int64()), ("text", pa.string()),
-                       ("lang", pa.string()), ("url", pa.string())]))
+        survivors = hash_anti_join(gated, flagged, "doc_id",
+                                   _REFRESH_DOC_SCHEMA)
         # update_index consumes its input dataset more than once;
         # checkpoint the survivors so the verify/anti-join chain (the
         # two heaviest stages of the refresh) executes ONCE instead of
         # per consumer — same crash-safe parquet pattern as _gated_new
         surv_ck = os.path.join(out, "_survivors")
-        shutil.rmtree(surv_ck, ignore_errors=True)
-        survivors.write_parquet(surv_ck)
         # an all-duplicates (or all-gated-out) refresh leaves ZERO
-        # survivors: pin the checkpoint schema, and skip the update
-        # entirely — inserting nothing is a no-op and the search serves
-        # from the base index (update_index with a 0-row dataset would
-        # otherwise die inside its own empty write_parquet)
-        _ensure_nonempty_parquet(surv_ck, pa.schema(
-            [("doc_id", pa.int64()), ("text", pa.string()),
-             ("lang", pa.string()), ("url", pa.string())]))
+        # survivors: the checkpoint pins the schema, and the update is
+        # skipped entirely — inserting nothing is a no-op and the search
+        # serves from the base index (update_index with a 0-row dataset
+        # would otherwise fail)
+        checkpoint.write_dataset(survivors, surv_ck, _REFRESH_DOC_SCHEMA)
         surv_ds = ray.data.read_parquet(surv_ck)
         if surv_ds.count() > 0:
             update_index(out, dataset=surv_ds, cfg=cfg)
-        with open(done, "w") as f:
-            f.write("ok")
+        checkpoint.mark_done(out, "_REFRESH_DONE")
     node = _or_node(terms)
     qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
     res = qx.search(out, node, qcfg).select(["rank", "doc_id", "score"])
@@ -1935,26 +1904,10 @@ def domain_doc_stats(sf_dir: str) -> pa.Table:
                                columns=["doc_id", "n_chars"])
     stats = _collect(domain_stats(ds)).sort_by("domain")
 
-    from .webnorm import (
-        canonical_url_batch,
-        registered_domain_batch,
-        synth_messy_urls_batch,
-    )
-
-    def to_domain_rows(batch: pa.Table) -> pa.Table:
-        b = synth_messy_urls_batch(batch)
-        b = canonical_url_batch(b)
-        b = registered_domain_batch(b)
-        return pa.table({
-            "domain": b.column("domain"),
-            "doc_id": b.column("doc_id").cast(pa.int64()),
-            "n_chars": b.column("n_chars").cast(pa.int64()),
-        })
-
     ds2 = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                 columns=["doc_id", "n_chars"])
     top1 = _collect(groupwise_topk(
-        ds2.map_batches(to_domain_rows, batch_format="pyarrow"),
+        ds2.map_batches(_domain_rows, batch_format="pyarrow"),
         key="domain",
         order=[("n_chars", "descending"), ("doc_id", "ascending")],
         k=1)).sort_by("domain")
@@ -2037,55 +1990,20 @@ def hll_user_registers(sf_dir: str, p: int = 12) -> pa.Table:
 def domain_capped_docs(sf_dir: str, cap: int = 25) -> pa.Table:
     """Per-registered-domain crawl quota: keep each domain's first
     ``cap`` docs by doc_id — the standard per-domain cap of web-corpus
-    curation, composed from existing distributed pieces with NO
-    per-domain sort and no corpus on the driver:
-
-    1. PSL registered domain per doc (webnorm, vectorized);
-    2. the cap THRESHOLD per domain = the cap-th smallest doc_id, via
-       the quantile machinery's order-statistic mode
-       (``group_quantiles(..., k=cap)`` — coarse-bucket rank selection,
-       driver holds one threshold per domain);
-    3. broadcast thresholds, zero-shuffle filter ``doc_id <= thr``.
-
-    doc_ids are unique, so exactly min(cap, n_domain) docs survive per
-    domain — bit-identical to SQL row_number() <= cap."""
-    import ray
+    curation, i.e. SQL ``row_number() OVER (PARTITION BY domain ORDER BY
+    doc_id) <= cap``, as the group-wise top-k (``topk.groupwise_topk``:
+    map-side per-batch combine, then one small per-domain pass)."""
     import ray.data
 
-    from .quantiles import group_quantiles
-    from .webnorm import (
-        canonical_url_batch,
-        registered_domain_batch,
-        synth_messy_urls_batch,
-    )
-
-    def to_domain_rows(batch: pa.Table) -> pa.Table:
-        b = synth_messy_urls_batch(batch)
-        b = canonical_url_batch(b)
-        b = registered_domain_batch(b)
-        return pa.table({
-            "domain": b.column("domain"),
-            "doc_id": b.column("doc_id").cast(pa.int64()),
-        })
+    from .topk import groupwise_topk
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                                columns=["doc_id"]) \
-        .map_batches(to_domain_rows, batch_format="pyarrow")
-    thr_t = group_quantiles(ds, "domain", "doc_id", k=cap)
-    thr = {d: int(v) for d, v in
-           zip(thr_t.column("domain").to_pylist(),
-               thr_t.column("quantile").to_pylist())}
-    thr_ref = ray.put(thr)
-
-    def keep_capped(b: pa.Table) -> pa.Table:
-        th = ray.get(thr_ref)
-        dom = b.column("domain").to_pylist()
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        lim = np.asarray([th[d] for d in dom], np.int64)
-        return b.filter(pa.array(ids <= lim))
-
-    t = _collect(ds.map_batches(keep_capped, batch_format="pyarrow"))
-    return t.sort_by([("domain", "ascending"), ("doc_id", "ascending")])
+        .map_batches(_domain_rows, batch_format="pyarrow")
+    t = _collect(groupwise_topk(ds, key="domain",
+                                order=[("doc_id", "ascending")], k=cap))
+    return t.select(["domain", "doc_id"]).sort_by(
+        [("domain", "ascending"), ("doc_id", "ascending")])
 
 
 def event_value_quantiles(sf_dir: str) -> pa.Table:

@@ -270,7 +270,8 @@ def ccnet_buckets(ds, scale: int = 1024, num_buckets: int = 64,
     histogram, then bucket assignment), so instead of pinning it in the
     object store with materialize() it is CHECKPOINTED once to
     partitioned parquet (``checkpoint_dir``, default a scratch dir under
-    /tmp — on a cluster pass shared storage) and both consumers stream
+    /tmp — on a cluster pass shared storage; it is cleared first, so it
+    must hold nothing else) and both consumers stream
     it back block by block: object-store residency stays bounded by the
     pipeline's working set, not the corpus, and a re-run of either
     consumer can reuse the checkpoint. Tertile thresholds come from the
@@ -284,6 +285,7 @@ def ccnet_buckets(ds, scale: int = 1024, num_buckets: int = 64,
 
     import ray.data
 
+    from .. import checkpoint
     from .equijoin import join_output_schema, shuffle_hash_join
     from .quantiles import group_quantiles
 
@@ -330,8 +332,8 @@ def ccnet_buckets(ds, scale: int = 1024, num_buckets: int = 64,
     ck = checkpoint_dir or os.path.join(
         tempfile.gettempdir(), "mdq_ray_ccnet",
         f"ck-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-    join_ds.map_batches(pin_schema, batch_format="pyarrow") \
-        .write_parquet(ck)
+    checkpoint.write_dataset(
+        join_ds.map_batches(pin_schema, batch_format="pyarrow"), ck, schema)
     joined = ray.data.read_parquet(ck, columns=names)
 
     thr_t = group_quantiles(joined, "lang", "metric",

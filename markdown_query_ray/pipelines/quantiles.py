@@ -75,8 +75,9 @@ def _to_u(v: np.ndarray) -> np.ndarray:
 
 
 def _from_u(u: int) -> int:
-    """Inverse of ``_to_u`` for a scalar key."""
-    return int((np.uint64(u) + _SIGN).astype(np.int64))
+    """Inverse of ``_to_u`` for a scalar key (exact Python-int
+    arithmetic: ``u`` is in [0, 2^64), so no wrap is involved)."""
+    return int(u) - (1 << 63)
 
 
 def _hist_partials(batch: pa.Table, group_col: str,
@@ -99,26 +100,19 @@ def _hist_partials(batch: pa.Table, group_col: str,
     })
 
 
-def _ranks_for(n: int, qs, k: int | None) -> list:
+def _ranks_for(n: int, qs) -> list:
     """[(label, 1-based rank)] to select for a group of size n: the
-    quantile_disc ranks of ``qs``, or — when ``k`` is given — the
-    single k-th-smallest rank clamped to n (the per-group cap / order
-    statistic used by domain quota selection)."""
-    if k is not None:
-        return [(float(k), min(k, n))]
+    quantile_disc ranks of ``qs``."""
     return [(float(q), max(1, -((-q.numerator * n) // q.denominator)))
             for q in qs]
 
 
 def group_quantiles(ds, group_col: str, value_col: str,
-                    qs=DEFAULT_QS, k: int | None = None) -> pa.Table:
+                    qs=DEFAULT_QS) -> pa.Table:
     """pa.Table of (group, q, quantile) — exact ``quantile_disc``
     semantics per group over an int64 column (full range). ``qs`` are
     Fractions so the rank computation ``max(1, ceil(q*n))`` is exact
-    integer arithmetic. ``k`` switches to ORDER-STATISTIC mode: one row
-    per group holding the k-th smallest value (clamped to the group
-    size; the q column carries float(k)) — same machinery, rank fixed
-    instead of quantile-derived."""
+    integer arithmetic."""
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
@@ -143,7 +137,7 @@ def group_quantiles(ds, group_col: str, value_col: str,
             vals = sub[value_col].to_numpy(np.int64)
             cum = np.cumsum(sub["cnt"].to_numpy(np.int64))
             n = int(cum[-1])
-            for lbl, rank in _ranks_for(n, qs, k):
+            for lbl, rank in _ranks_for(n, qs):
                 i = int(np.searchsorted(cum, rank, side="left"))
                 rows.append((str(grp), lbl, int(vals[i])))
         return pa.table({
@@ -163,11 +157,12 @@ def group_quantiles(ds, group_col: str, value_col: str,
     # over the materialized histogram, never a corpus-scale or
     # histogram-scale group on any single worker. Driver state per
     # level: <= |groups| x |qs| x 2^LEVEL_BITS sub-bucket totals.
+    # Window bounds are exact Python ints in the unsigned view: [lo, hi)
+    # with hi up to 2^64, which no numpy integer holds — workers compare
+    # against the inclusive hi - 1 instead.
     mm = hist.aggregate(Min(value_col), Max(value_col))
-    ulo0 = int(_to_u(np.asarray([mm[f"min({value_col})"]],
-                                np.int64))[0])
-    uhi0 = int(_to_u(np.asarray([mm[f"max({value_col})"]],
-                                np.int64))[0]) + 1
+    ulo0 = int(mm[f"min({value_col})"]) + (1 << 63)
+    uhi0 = int(mm[f"max({value_col})"]) + (1 << 63) + 1
 
     # per-group totals (|groups| rows) -> initial ranks
     gt = hist.groupby(group_col) \
@@ -177,7 +172,7 @@ def group_quantiles(ds, group_col: str, value_col: str,
     tid = 0
     for r in sorted(gt, key=lambda r: r[group_col]):
         grp, n = str(r[group_col]), int(r["n"])
-        for lbl, rank in _ranks_for(n, qs, k):
+        for lbl, rank in _ranks_for(n, qs):
             live.append([tid, grp, lbl, ulo0, uhi0, rank])
             tid += 1
 
@@ -214,7 +209,7 @@ def group_quantiles(ds, group_col: str, value_col: str,
                 sel = inv == ci
                 uu, cc = u[sel], c[sel]
                 for wtid, lo, hi, sh in ws:
-                    m = (uu >= np.uint64(lo)) & (uu < np.uint64(hi))
+                    m = (uu >= np.uint64(lo)) & (uu <= np.uint64(hi - 1))
                     if not m.any():
                         continue
                     sub = ((uu[m] - np.uint64(lo))
@@ -262,7 +257,7 @@ def group_quantiles(ds, group_col: str, value_col: str,
         live = nxt
 
     # deterministic output order: groups sorted, labels in caller order
-    labels = [float(k)] if k is not None else [float(q) for q in qs]
+    labels = [float(q) for q in qs]
     lpos = {}
     for i, lb in enumerate(labels):
         lpos.setdefault(lb, i)

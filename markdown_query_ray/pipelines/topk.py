@@ -60,6 +60,8 @@ def groupwise_topk(ds, key: str, order: list[tuple[str, str]], k: int):
     """Per-key top-k rows of ``ds`` (all columns ride along), plus a
     1-based ``rank`` column. Two-phase: map-side per-batch combine, then
     the per-key exact pass."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     part = ds.map_batches(
         partial(_topk_kernel, key=key, order=order, k=k),
         batch_format="pyarrow")

@@ -242,3 +242,37 @@ def test_base_checkpoint_rejects_compensating_edit(ray_session,
     with pytest.raises(ValueError, match="append-only"):
         incremental_minhash_pairs(ds_ids([0, 2, 3, 10, 11]), new,
                                   base_sigs_dir=ck, **kw)
+
+
+def test_empty_base_with_checkpoint_matches_live(ray_session, tmp_path):
+    """An EMPTY base with ``base_sigs_dir``: the signature checkpoint
+    pins a 0-row file (Ray writes none for an empty dataset), so the
+    call returns the same pairs as the run without a checkpoint, and a
+    second call reuses the committed sidecar."""
+    import json
+    import os
+
+    import ray.data
+
+    def empty_base():
+        return ray.data.from_arrow(pa.table({
+            "doc_id": pa.array([], pa.int64()),
+            "text": pa.array([], pa.string())}))
+
+    new = ["the quick brown fox jumps over the lazy dog",
+           "totally fresh text here"]
+    kw = dict(threshold=0.5, num_hashes=64, bands=32, collect=True)
+    ck = str(tmp_path / "sigck")
+    live = incremental_minhash_pairs(empty_base(), _mk_ds(new, 100), **kw)
+    p1 = incremental_minhash_pairs(empty_base(), _mk_ds(new, 100),
+                                   base_sigs_dir=ck, **kw)
+    sp = os.path.join(ck, "_SIG_PARAMS.json")
+    meta1 = json.load(open(sp))
+    assert meta1["gens"] == ["gen-000000"] and meta1["n_docs"] == 0
+    mtime = os.path.getmtime(sp)
+    p2 = incremental_minhash_pairs(empty_base(), _mk_ds(new, 100),
+                                   base_sigs_dir=ck, **kw)
+    assert live.num_rows == 0
+    assert p1.equals(live) and p2.equals(live)
+    assert os.path.getmtime(sp) == mtime  # reused, not re-committed
+    assert json.load(open(sp)) == meta1

@@ -157,17 +157,21 @@ def test_groupwise_topk_matches_window(ray_session):
         "rid": pa.array(np.arange(n), pa.int64()),
     })
     ds = ray.data.from_arrow(t).repartition(16)
-    res = groupwise_topk(ds, key="k",
-                         order=[("score", "descending"),
-                                ("rid", "ascending")], k=5)
-    out = pa.concat_tables(list(res.iter_batches(batch_size=None,
-                                                 batch_format="pyarrow")))
-    got = sorted(zip(out.column("k").to_pylist(),
-                     out.column("rank").to_pylist(),
-                     out.column("rid").to_pylist()))
-    exp = []
-    for kk in np.unique(key):
-        rows = sorted(((-score[i], i) for i in range(n) if key[i] == kk))
-        exp.extend((int(kk), r + 1, int(rows[r][1]))
-                   for r in range(min(5, len(rows))))
-    assert got == sorted(exp)
+    order = [("score", "descending"), ("rid", "ascending")]
+    # k=100 exceeds every group (~54 rows): the whole group, ranked
+    for k in (5, 100):
+        res = groupwise_topk(ds, key="k", order=order, k=k)
+        out = pa.concat_tables(list(res.iter_batches(
+            batch_size=None, batch_format="pyarrow")))
+        got = sorted(zip(out.column("k").to_pylist(),
+                         out.column("rank").to_pylist(),
+                         out.column("rid").to_pylist()))
+        exp = []
+        for kk in np.unique(key):
+            rows = sorted(((-score[i], i) for i in range(n)
+                           if key[i] == kk))
+            exp.extend((int(kk), r + 1, int(rows[r][1]))
+                       for r in range(min(k, len(rows))))
+        assert got == sorted(exp), k
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        groupwise_topk(ds, key="k", order=order, k=0)
