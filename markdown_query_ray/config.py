@@ -90,14 +90,8 @@ class IndexConfig:
                                      # "bitpack" (per-block frame-of-
                                      # reference, ~0.7x the bytes and a
                                      # branch-free decode; positions stay
-                                     # varint in both modes)
-    partial_codec: str = "varint"    # MERGE-SHUFFLE payload codec for the
-                                     # map-side partial posting rows
-                                     # ("varint" | "bitpack"): bitpack
-                                     # shrinks the all-to-all bytes, the
-                                     # knob for keeping a 4M+ doc merge
-                                     # shuffle inside the object store;
-                                     # independent of the on-disk codec
+                                     # varint in both modes). The merge
+                                     # shuffle exchanges the same codec.
     tokenize_batch_size: int = 256   # docs per tokenize batch (web pages are fat)
     # docs per map-side-combine batch in the merge shuffle: bigger batches
     # combine more postings per (skey, term) row, directly shrinking the
@@ -108,15 +102,27 @@ class IndexConfig:
     tokenize_concurrency: int | tuple[int, int] | None = None  # actor pool size
     docs_per_bucket: int = 1 << 32   # doc_id -> doc_bucket divisor; at 10^12
                                      # docs set so S buckets cover the id space
-    term_stats_driver_rows: int = 2_000_000
-                                     # term-stat partial rows merged driver-side
-                                     # (one Arrow groupby); above this the merge
-                                     # runs as a distributed Ray groupby
+
+    @classmethod
+    def from_gstats(cls, g: dict) -> "IndexConfig":
+        """The config an index was built with, from its global stats (the
+        settings ``build_index`` records there); a setting an older index
+        did not record takes its default."""
+        return cls(**{k: g[k] for k in RECORDED_SETTINGS if k in g})
 
     def doc_bucket_of(self, doc_id):
         if self.num_doc_buckets <= 1:
             return doc_id * 0
         return (doc_id // self.docs_per_bucket) % self.num_doc_buckets
+
+
+# the IndexConfig fields global_stats.json records: every setting that
+# changes what a build writes, so updates and compaction rebuild alike
+# (``docs_per_bucket`` is recorded as the build's computed value)
+RECORDED_SETTINGS = (
+    "num_term_parts", "num_doc_buckets", "docs_per_bucket", "block_size",
+    "codec", "tokenizer", "stem", "positions", "max_term_bytes",
+    "cjk_ngram", "store_payload")
 
 
 @dataclass(frozen=True)

@@ -234,9 +234,9 @@ nomem:
  * per-term position-list packing for positional indexes. Returns
  * dict[term, (wdf, payload)] where payload is the term's 1-based token
  * positions delta-packed as LEB128 varints [first, gap, gap, ...] — the
- * exact byte format index/codec.py's encode_varints produces, so the
- * Python fallback (term_counts + pos_map + pack_position_payloads) is
- * byte-identical (fuzz-parity-tested). */
+ * exact byte format index/codec.py's pack_positions produces, so the
+ * Python fallback (term_counts + position_payloads) is byte-identical
+ * (fuzz-parity-tested). */
 static PyObject *count_ascii_terms_positions(PyObject *self, PyObject *args) {
     const char *s; Py_ssize_t n; Py_ssize_t max_bytes = 64;
     if (!PyArg_ParseTuple(args, "s#|n", &s, &n, &max_bytes)) return NULL;

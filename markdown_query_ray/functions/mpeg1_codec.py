@@ -460,6 +460,9 @@ def decode_mpeg1_iframes(data: bytes) -> np.ndarray:
             br.get(1)   # marker
             br.get(10)  # vbv
             br.get(1)   # constrained
+            # a header that loads no matrix selects the default one, not
+            # an earlier sequence's custom matrix
+            qmat = DEFAULT_INTRA_Q
             if br.get(1):  # load_intra_quant_matrix (zigzag order)
                 zz = np.array([br.get(8) for _ in range(64)], np.int64)
                 nat = np.zeros(64, np.int64)

@@ -47,6 +47,7 @@ import regex
 
 import numpy as np
 
+from ..index.codec import pack_positions
 from ._xapian_unicode import (
     DIGIT_CLASS,
     DIGIT_FLAT,
@@ -255,7 +256,7 @@ def position_payloads(tokens: list[str]) -> dict:
     pos_map: dict[str, list[int]] = {}
     for i, t in enumerate(tokens):
         pos_map.setdefault(t, []).append(i + 1)
-    return _pack_pos_map(pos_map)
+    return pack_positions(pos_map)
 
 
 def position_payloads_flagged(tokens: list[tuple[str, bool]]) -> dict:
@@ -270,21 +271,7 @@ def position_payloads_flagged(tokens: list[tuple[str, bool]]) -> dict:
         if flag:
             pos += 1
             pos_map.setdefault(t, []).append(pos)
-    return _pack_pos_map(pos_map)
-
-
-def _pack_pos_map(pos_map: dict) -> dict:
-    from ..index.codec import encode_varints
-
-    pos_of: dict = {}
-    for t, plist in pos_map.items():
-        orig = np.asarray(plist, np.uint64)
-        deltas = np.empty_like(orig)
-        deltas[0] = orig[0]
-        deltas[1:] = orig[1:] - orig[:-1]
-        payload, _ = encode_varints(deltas)
-        pos_of[t] = (len(plist), payload.tobytes())
-    return pos_of
+    return pack_positions(pos_map)
 
 
 def term_counts(tokens: list[str], stemmer=None) -> Counter:

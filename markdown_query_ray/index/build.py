@@ -42,11 +42,18 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .. import checkpoint
-from ..config import IndexConfig
+from ..config import RECORDED_SETTINGS, IndexConfig
 from ..sources.pages import file_row_counts, read_pages
 from ..stages.extract import extract_batch
-from ..stages.tokenize import TokenizeStage
-from .codec import encode_partition
+from ..stages.tokenize import TokenizeStage, staging_schema
+from .codec import (
+    POSITION_CODEC,
+    concat_segments,
+    decode_partial_group,
+    encode_partition,
+    encode_segments,
+    partial_schema,
+)
 
 
 def term_part(term: str, num_parts: int) -> int:
@@ -71,14 +78,14 @@ class PartialPostingsStage:
          [, npos_enc, pos_enc])
 
     ``first_id`` carries the segment's first doc_id as a plain uint64
-    column; ``ids_enc`` holds the remaining n-1 gap-1 deltas, coded per
-    ``cfg.partial_codec`` — "varint" (LEB128) or "bitpack" (per-segment
-    frame-of-reference, ~0.7x the bytes: the knob that keeps a 4M+ doc
-    merge shuffle inside the object store). Keeping the first id out of
-    the payload matters for bitpack: one absolute u64 would force the
-    whole segment to full width. This packing cuts the all-to-all payload
-    ~10x vs one row per posting (term strings ship once per batch) — the
-    sort-based shuffle moves bytes, not rows.
+    column; ``ids_enc`` holds the remaining n-1 gap-1 deltas. Payloads are
+    coded in the index's ``cfg.codec`` by ``codec.encode_segments`` — the
+    same segment format as the posting blocks ("bitpack" is ~0.7x the
+    shuffle bytes of "varint"). Keeping the first id out of the payload
+    matters for bitpack: one absolute u64 would force the whole segment to
+    full width. This packing cuts the all-to-all payload ~10x vs one row
+    per posting (term strings ship once per batch) — the sort-based
+    shuffle moves bytes, not rows.
 
     Partition hashes run once per UNIQUE term via dictionary encoding,
     batch-hashed straight out of the Arrow string buffers (C fast path in
@@ -90,8 +97,6 @@ class PartialPostingsStage:
         self.docs_per_bucket = max(1, docs_per_bucket)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .codec import _segment_binary, encode_varints
-
         cfg = self.cfg
         terms_list = batch.column("terms")
         lens = pc.list_value_length(terms_list).to_numpy().astype(np.int64)
@@ -116,7 +121,7 @@ class PartialPostingsStage:
         codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(codes)
         if n == 0:
-            return self._empty()
+            return partial_schema(cfg.positions).empty_table()
         parts = uniq_parts[codes]
         bucket = ((doc_ids // np.uint64(self.docs_per_bucket))
                   % np.uint64(cfg.num_doc_buckets)).astype(np.uint32)
@@ -136,82 +141,41 @@ class PartialPostingsStage:
         is_first[seg_start] = True
         gaps = np.zeros(n, np.uint64)
         gaps[1:] = ids_s[1:] - ids_s[:-1] - 1  # within-segment deltas
-        gaps_rest = gaps[~is_first]            # first id rides as a column
-        if cfg.partial_codec == "bitpack":
-            from .codec import _binary_from_seg_ends, pack_for_blocks
-
-            ids_payload, ids_bends = pack_for_blocks(gaps_rest, seg_n - 1)
-            ids_enc = _binary_from_seg_ends(ids_payload, ids_bends)
-            tf_payload, tf_bends = pack_for_blocks(tfs_s, seg_n)
-            tfs_enc = _binary_from_seg_ends(tf_payload, tf_bends)
-            dl_payload, dl_bends = pack_for_blocks(dls_s, seg_n)
-            dls_enc = _binary_from_seg_ends(dl_payload, dl_bends)
-        elif cfg.partial_codec == "varint":
-            ids_payload, ids_ends = encode_varints(gaps_rest)
-            ids_enc = _segment_binary(ids_payload, ids_ends, seg_n - 1)
-            tf_payload, tf_ends = encode_varints(tfs_s)
-            tfs_enc = _segment_binary(tf_payload, tf_ends, seg_n)
-            dl_payload, dl_ends = encode_varints(dls_s)
-            dls_enc = _segment_binary(dl_payload, dl_ends, seg_n)
-        else:
-            raise ValueError(
-                f"unknown partial codec {cfg.partial_codec!r}")
-
-        cols = {
-            "skey": pa.array(skey_s[seg_start], pa.uint32()),
-            "term": denc.dictionary.take(pa.array(codes_s[seg_start])),
-            "n": pa.array(seg_n.astype(np.uint32)),
-            "first_id": pa.array(ids_s[seg_start], pa.uint64()),
-            "ids_enc": ids_enc,
-            "tfs_enc": tfs_enc,
-            "dls_enc": dls_enc,
-        }
-        if "npos" in batch.column_names:  # positional build
-            from .codec import _binary_parts
-
-            npos = pc.list_flatten(batch.column("npos")).to_numpy() \
-                .astype(np.uint64)[order]
-            np_payload, np_ends = encode_varints(npos)
-            cols["npos_enc"] = _segment_binary(np_payload, np_ends, seg_n)
+        cols = [
+            pa.array(skey_s[seg_start], pa.uint32()),
+            denc.dictionary.take(pa.array(codes_s[seg_start])),
+            pa.array(seg_n.astype(np.uint32)),
+            pa.array(ids_s[seg_start], pa.uint64()),
+            # the first id rides as a column, not in the payload
+            encode_segments(gaps[~is_first], seg_n - 1, cfg.codec),
+            encode_segments(tfs_s, seg_n, cfg.codec),
+            encode_segments(dls_s, seg_n, cfg.codec),
+        ]
+        with_pos = "npos" in batch.column_names
+        if with_pos:
+            npos = pc.list_flatten(batch.column("npos")).to_numpy()[order]
             poss = pc.list_flatten(batch.column("poss")).combine_chunks()
-            poss = poss.take(pa.array(order))
-            offs, pbuf = _binary_parts(poss)
-            bends = np.zeros(len(seg_n) + 1, np.int64)
-            cum = np.cumsum(seg_n)
-            bends[1:] = offs[1:][cum - 1]
-            cols["pos_enc"] = pa.BinaryArray.from_buffers(
-                pa.binary(), len(seg_n),
-                [None, pa.py_buffer(bends.astype(np.int32).tobytes()),
-                 pa.py_buffer(pbuf)])
-        return pa.table(cols)
+            cols += [encode_segments(npos, seg_n, POSITION_CODEC),
+                     concat_segments(poss.take(pa.array(order)), seg_n)]
+        return pa.Table.from_arrays(cols, schema=partial_schema(with_pos))
 
-    def _empty(self) -> pa.Table:
-        cols = {
-            "skey": pa.array([], pa.uint32()),
-            "term": pa.array([], pa.string()),
-            "n": pa.array([], pa.uint32()),
-            "first_id": pa.array([], pa.uint64()),
-            "ids_enc": pa.array([], pa.binary()),
-            "tfs_enc": pa.array([], pa.binary()),
-            "dls_enc": pa.array([], pa.binary()),
-        }
-        if self.cfg.positions:
-            cols["npos_enc"] = pa.array([], pa.binary())
-            cols["pos_enc"] = pa.array([], pa.binary())
-        return pa.table(cols)
+
+_MANIFEST_SCHEMA = pa.schema([
+    ("skey", pa.int64()), ("path", pa.string()), ("n_blocks", pa.int64()),
+    ("n_postings", pa.int64()), ("bytes", pa.int64()),
+    ("seconds", pa.float64()), ("resumed", pa.bool_())])
+# term_stats rows (and the negative per-update deltas beside them)
+TERM_STATS_SCHEMA = pa.schema([
+    ("term", pa.string()), ("termfreq", pa.int64()),
+    ("collfreq", pa.int64()), ("wdf_ub", pa.int64())])
 
 
 def _manifest_row(skey: int, path: str, n_blocks: int, n_postings: int,
                   nbytes: int, resumed: bool, seconds: float) -> pa.Table:
-    return pa.table({
-        "skey": pa.array([skey], pa.int64()),
-        "path": pa.array([path], pa.string()),
-        "n_blocks": pa.array([n_blocks], pa.int64()),
-        "n_postings": pa.array([n_postings], pa.int64()),
-        "bytes": pa.array([nbytes], pa.int64()),
-        "seconds": pa.array([seconds], pa.float64()),
-        "resumed": pa.array([resumed], pa.bool_()),
-    })
+    return pa.Table.from_pylist([{
+        "skey": skey, "path": path, "n_blocks": n_blocks,
+        "n_postings": n_postings, "bytes": nbytes, "seconds": seconds,
+        "resumed": resumed}], schema=_MANIFEST_SCHEMA)
 
 
 URL_MAP_BUCKETS = 64
@@ -221,6 +185,10 @@ URL_MAP_BUCKETS = 64
 # ~28 s local (single-threaded read + 64 filter passes) vs ~1 s inside
 # the distributed build — keep this threshold low.
 URL_MAP_DRIVER_ROWS = 100_000
+# term-stat partial rows merged driver-side in one Arrow groupby; above
+# this the merge runs as a distributed Ray groupby, so a trillion-doc
+# term dictionary never has to fit on the driver
+TERM_STATS_DRIVER_ROWS = 2_000_000
 
 
 def _url_bucket_batch(batch: pa.Table) -> pa.Table:
@@ -307,8 +275,6 @@ def encode_write_group(group: pa.Table, out_dir: str,
     parquet file atomically (plus the group's exact per-term stats partial),
     return a manifest row. Skips work (resume) when the output file already
     exists."""
-    from .codec import decode_partial_group
-
     t0 = time.perf_counter()
     skey = int(group.column("skey")[0].as_py())
     path = os.path.join(out_dir, "postings", f"part-{skey:06d}.parquet")
@@ -324,7 +290,7 @@ def encode_write_group(group: pa.Table, out_dir: str,
         meta = pq.ParquetFile(path).metadata
         return _manifest_row(skey, path, meta.num_rows, n_rows, 0,
                              resumed=True, seconds=0.0)
-    decoded = decode_partial_group(group, codec=cfg.partial_codec)
+    decoded = decode_partial_group(group, codec=cfg.codec)
     terms, doc_ids, tfs, dls = decoded[:4]
     pos_kw = {}
     if len(decoded) > 4:
@@ -409,7 +375,7 @@ def build_index(out_dir: str,
                 TokenizeStage(cfg), batch_format="pyarrow",
                 batch_size=cfg.tokenize_batch_size,
                 concurrency=concurrency)
-        checkpoint.write_dataset(tok, tok_dir)
+        checkpoint.write_dataset(tok, tok_dir, staging_schema(cfg))
         checkpoint.mark_done(tok_dir, "_SUCCESS")
     _mark("extract_tokenize", t0)
 
@@ -501,14 +467,8 @@ def build_index(out_dir: str,
         "doclen_lb": min(los) if los else 0,
         "doclen_ub": max(his) if his else 0,
         "avg_doclen": (total_doclen / n_docs) if n_docs else 0.0,
-        "num_term_parts": cfg.num_term_parts,
-        "num_doc_buckets": cfg.num_doc_buckets,
+        **{k: getattr(cfg, k) for k in RECORDED_SETTINGS},
         "docs_per_bucket": docs_per_bucket,
-        "block_size": cfg.block_size,
-        "codec": cfg.codec,
-        "tokenizer": cfg.tokenizer,
-        "stem": cfg.stem,
-        "positions": cfg.positions,
     }
     _mark("global_stats", t0)
 
@@ -523,7 +483,9 @@ def build_index(out_dir: str,
         partial(encode_write_group, out_dir=out_dir, cfg=cfg,
                 docs_per_bucket=docs_per_bucket),
         batch_format="pyarrow")
-    man_table = pa.Table.from_pandas(manifest.to_pandas(), preserve_index=False)
+    # one row per shuffle group; an empty build has none
+    man_table = pa.Table.from_pylist(manifest.take_all(),
+                                     schema=_MANIFEST_SCHEMA)
     man_path = os.path.join(out_dir, "_manifest.jsonl")
     checkpoint.write_text(
         "".join(json.dumps(row) + "\n" for row in man_table.to_pylist()),
@@ -542,19 +504,22 @@ def build_index(out_dir: str,
     # ---- stage 4: merge per-group term-stat partials -----------------------
     # Each shuffle group wrote exact partials for its (term-part, doc-bucket)
     # slice; the final merge sums S partials per (term, part). Small merges
-    # (test/bench scale) run driver-side as one Arrow groupby; past the row
-    # threshold it becomes a Ray groupby over the partials dataset — same
-    # semantics, distributed — so a trillion-doc term dictionary never has to
-    # fit on the driver.
+    # (test/bench scale) run driver-side as one Arrow groupby; past
+    # TERM_STATS_DRIVER_ROWS it becomes a Ray groupby over the partials
+    # dataset — same semantics, distributed.
     ts_dir = os.path.join(out_dir, "term_stats")
     tsp_dir = os.path.join(out_dir, "term_stats_parts")
     t0 = time.perf_counter()
     checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
-    partial_rows = sum(
-        pq.ParquetFile(os.path.join(tsp_dir, f)).metadata.num_rows
-        for f in os.listdir(tsp_dir) if f.endswith(".parquet"))
-    if partial_rows <= cfg.term_stats_driver_rows:
-        parts_tbl = pq.ParquetDataset(tsp_dir).read()
+    # an empty build wrote no shuffle group, so no partials
+    part_files = [os.path.join(tsp_dir, f)
+                  for f in sorted(os.listdir(tsp_dir))
+                  if f.endswith(".parquet")] if os.path.isdir(tsp_dir) else []
+    partial_rows = sum(pq.ParquetFile(f).metadata.num_rows
+                       for f in part_files)
+    if partial_rows <= TERM_STATS_DRIVER_ROWS:
+        parts_tbl = pq.ParquetDataset(part_files).read() if part_files \
+            else TERM_STATS_SCHEMA.empty_table()
         agg = pa.TableGroupBy(parts_tbl, "term").aggregate(
             [("termfreq", "sum"), ("collfreq", "sum"), ("wdf_ub", "max")])
         merged = pa.table({

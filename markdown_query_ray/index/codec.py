@@ -22,6 +22,11 @@ Everything encodes/decodes in whole-partition numpy passes: per-value byte
 lengths -> exclusive prefix sum -> one byte buffer, then per-block binary
 slices come from offset arithmetic (an Arrow BinaryArray over the same
 buffer). No per-row Python in either direction.
+
+This module is the only one that knows how posting payloads are laid out:
+the block rows written to disk, the merge shuffle's partial rows (same
+segment format, same ``codec``), the position payloads, and both tables'
+schemas. Build, update, reader and executor call into it.
 """
 
 from __future__ import annotations
@@ -209,23 +214,189 @@ def _check_binary_size(total_bytes: int) -> None:
             f"shuffle partition stays under 2 GiB")
 
 
+def _group_ends(value_ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Exclusive byte end of each group of ``counts[i]`` consecutive
+    values whose own byte ends are ``value_ends``; an empty group ends
+    where the previous one did."""
+    cum = np.cumsum(counts)
+    ends = np.zeros(len(counts), np.int64)
+    nz = cum > 0
+    ends[nz] = value_ends[cum[nz] - 1]
+    np.maximum.accumulate(ends, out=ends)
+    return ends
+
+
 def _segment_binary(payload: np.ndarray, value_ends: np.ndarray,
                     seg_value_counts: np.ndarray) -> pa.BinaryArray:
     """Split a packed varint stream into per-segment binary values, where
     segment i holds seg_value_counts[i] consecutive varints. Zero-copy over
     the payload buffer."""
-    if len(value_ends):
-        _check_binary_size(int(value_ends[-1]))
-    cum_vals = np.cumsum(seg_value_counts)
-    byte_ends = np.zeros(len(seg_value_counts) + 1, np.int32)
-    nz = cum_vals > 0
-    byte_ends[1:][nz] = value_ends[cum_vals[nz] - 1]
-    # segments with zero values share the previous offset
-    np.maximum.accumulate(byte_ends, out=byte_ends)
+    return _binary_from_seg_ends(
+        payload, _group_ends(value_ends, seg_value_counts))
+
+
+def _binary_from_seg_ends(payload, seg_byte_ends: np.ndarray
+                          ) -> pa.BinaryArray:
+    """BinaryArray whose value i is payload[seg_byte_ends[i-1]:
+    seg_byte_ends[i]] (zero-copy over the payload buffer)."""
+    if len(seg_byte_ends):
+        _check_binary_size(int(seg_byte_ends[-1]))
+    offs = np.zeros(len(seg_byte_ends) + 1, np.int32)
+    offs[1:] = seg_byte_ends
     return pa.BinaryArray.from_buffers(
-        pa.binary(), len(seg_value_counts),
-        [None, pa.py_buffer(byte_ends.tobytes()),
-         pa.py_buffer(payload.tobytes())])
+        pa.binary(), len(seg_byte_ends),
+        [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(payload)])
+
+
+# --- the payload codecs -----------------------------------------------------
+# Every ``*_enc`` column is a run of segments (a posting block, or one
+# (skey, term) row of the merge shuffle), one binary value per segment.
+# "varint" concatenates LEB128 values, so its segments decode as one
+# stream; "bitpack" frames each segment (width byte + packed bits), so its
+# decode needs the per-segment value counts.
+
+def _varint_segments(vals: np.ndarray, seg_counts: np.ndarray
+                     ) -> pa.BinaryArray:
+    payload, ends = encode_varints(vals)
+    return _segment_binary(payload, ends, seg_counts)
+
+
+def _bitpack_segments(vals: np.ndarray, seg_counts: np.ndarray
+                      ) -> pa.BinaryArray:
+    payload, seg_ends = pack_for_blocks(vals, seg_counts)
+    return _binary_from_seg_ends(payload, seg_ends)
+
+
+_CODECS = {
+    "varint": (_varint_segments, lambda data, _counts: decode_varints(data)),
+    "bitpack": (_bitpack_segments, unpack_for_blocks),
+}
+# position lists are varint in every index (gap-coded positions are small,
+# and a phrase check decodes only the postings it gathers); a varint
+# stream decodes without per-segment counts
+POSITION_CODEC = "varint"
+
+
+def _codec_fns(codec: str):
+    try:
+        return _CODECS[codec]
+    except KeyError:
+        raise ValueError(f"unknown posting codec {codec!r}") from None
+
+
+def encode_segments(vals: np.ndarray, seg_counts: np.ndarray,
+                    codec: str) -> pa.BinaryArray:
+    """One binary value per segment, segment i holding seg_counts[i]
+    consecutive ``vals`` coded with ``codec``."""
+    return _codec_fns(codec)[0](
+        np.ascontiguousarray(vals, np.uint64), seg_counts)
+
+
+def decode_segments(col, seg_counts: np.ndarray, codec: str) -> np.ndarray:
+    """Inverse of :func:`encode_segments` over a binary column (any row
+    subset, with its per-row value counts): the values, concatenated."""
+    dec = _codec_fns(codec)[1]
+    return dec(np.frombuffer(_cat_binary(col), np.uint8), seg_counts)
+
+
+def first_value(enc: bytes, codec: str) -> int:
+    """The first value of one segment's payload (0 for an empty one)."""
+    if not enc:
+        return 0
+    dec = _codec_fns(codec)[1]
+    return int(dec(np.frombuffer(enc, np.uint8), np.ones(1, np.int64))[0])
+
+
+def concat_segments(payloads, seg_counts: np.ndarray) -> pa.BinaryArray:
+    """One binary value per segment: the per-posting payloads (a binary
+    column, or a numpy object array of bytes) of its seg_counts[i]
+    postings, concatenated in order (a block's or a shuffle row's
+    ``pos_enc``)."""
+    if not isinstance(payloads, (pa.Array, pa.ChunkedArray)):
+        payloads = pa.array(payloads, pa.binary())
+    offs, buf = _binary_parts(payloads)
+    return _binary_from_seg_ends(buf, _group_ends(offs[1:], seg_counts))
+
+
+def position_ranges(tbl: pa.Table
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(npos, pos_bytes, post_ends) of a positional table's rows: the
+    per-posting position counts, the concatenated ``pos_enc`` bytes and
+    the per-posting byte boundaries into them (``post_ends[i]:
+    post_ends[i+1]`` is posting i's payload) — found from the varint
+    terminators, without decoding any position. Raises KeyError on a
+    table without positions."""
+    npos = decode_segments(tbl.column("npos_enc"), None,
+                           POSITION_CODEC).astype(np.int64)
+    pos_bytes = np.frombuffer(_cat_binary(tbl.column("pos_enc")), np.uint8)
+    val_ends = np.nonzero((pos_bytes & 0x80) == 0)[0] + 1
+    post_ends = np.zeros(len(npos) + 1, np.int64)
+    post_ends[1:] = _group_ends(val_ends, npos)
+    return npos, pos_bytes, post_ends
+
+
+def decode_position_slices(pos_bytes: np.ndarray, starts: np.ndarray,
+                           ends: np.ndarray, counts: np.ndarray
+                           ) -> np.ndarray:
+    """Absolute positions of the postings whose payloads are
+    ``pos_bytes[starts[i]:ends[i]]`` (ranges from :func:`position_ranges`,
+    ``counts[i]`` positions each), concatenated: one byte gather, one
+    varint decode, one segmented prefix sum."""
+    blens = (ends - starts).astype(np.int64)
+    brep = np.repeat(np.arange(len(blens), dtype=np.int64), blens)
+    bbase = np.repeat(np.cumsum(blens) - blens, blens)
+    src = starts[brep] + (np.arange(int(blens.sum()), dtype=np.int64)
+                          - bbase)
+    return _seg_positions(decode_varints(pos_bytes[src]), counts)
+
+
+def pack_positions(pos_map: dict[str, list[int]]
+                   ) -> dict[str, tuple[int, bytes]]:
+    """term -> (npos, payload) for one document's ascending position lists:
+    each payload is the varint stream [first, gap, gap, ...] that
+    ``pos_enc`` concatenates. One varint encode per document."""
+    terms = list(pos_map)
+    counts = np.fromiter((len(pos_map[t]) for t in terms), np.int64,
+                         len(terms))
+    flat = np.fromiter((p for t in terms for p in pos_map[t]), np.uint64,
+                       int(counts.sum()))
+    deltas = np.diff(flat, prepend=np.uint64(0))
+    firsts = (np.cumsum(counts) - counts)[counts > 0]
+    deltas[firsts] = flat[firsts]
+    payload, ends = encode_varints(deltas)
+    buf = payload.tobytes()
+    bends = _group_ends(ends, counts)
+    out = {}
+    lo = 0
+    for t, c, hi in zip(terms, counts.tolist(), bends.tolist()):
+        out[t] = (c, buf[lo:hi])
+        lo = hi
+    return out
+
+
+# --- table schemas ----------------------------------------------------------
+_POSITION_FIELDS = [("npos_enc", pa.binary()), ("pos_enc", pa.binary())]
+_PAYLOAD_FIELDS = [("ids_enc", pa.binary()), ("tfs_enc", pa.binary()),
+                   ("dls_enc", pa.binary())]
+
+
+def blocks_schema(positions: bool = False) -> pa.Schema:
+    """Posting-block rows, as written to ``postings/part-*.parquet``."""
+    return pa.schema(
+        [("term", pa.string()), ("block_id", pa.uint32()),
+         ("first_doc_id", pa.uint64()), ("last_doc_id", pa.uint64()),
+         ("n", pa.uint32())] + _PAYLOAD_FIELDS
+        + [("max_wdf", pa.uint32()), ("min_doclen", pa.uint32()),
+           ("sum_wdf", pa.uint64())]
+        + (_POSITION_FIELDS if positions else []))
+
+
+def partial_schema(positions: bool = False) -> pa.Schema:
+    """Packed partial posting rows, the merge shuffle's exchange format."""
+    return pa.schema(
+        [("skey", pa.uint32()), ("term", pa.string()), ("n", pa.uint32()),
+         ("first_id", pa.uint64())] + _PAYLOAD_FIELDS
+        + (_POSITION_FIELDS if positions else []))
 
 
 def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
@@ -260,7 +431,7 @@ def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
     interval, so block order == global doc order by construction."""
     n = len(doc_ids)
     if n == 0:
-        return _empty_blocks_table(with_positions=npos is not None)
+        return blocks_schema(positions=npos is not None).empty_table()
     doc_ids = np.ascontiguousarray(doc_ids, np.uint64)
     tfs = np.ascontiguousarray(tfs, np.uint64)
     doclens = np.ascontiguousarray(doclens, np.uint64)
@@ -292,107 +463,37 @@ def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
                                       term_counts)
     bstart_idx = np.nonzero(block_start)[0]
     bcounts = np.diff(np.append(bstart_idx, n))
-    nblocks = len(bstart_idx)
 
     # doc-id gaps (gap-1) for non-first entries of each block
     gaps = np.empty(n, np.uint64)
     gaps[0] = 0
     gaps[1:] = doc_ids[1:] - doc_ids[:-1] - 1
-    if codec == "bitpack":
-        ids_payload, ids_bends = pack_for_blocks(gaps[~block_start],
-                                                 bcounts - 1)
-        ids_enc = _binary_from_seg_ends(ids_payload, ids_bends)
-        tf_payload, tf_bends = pack_for_blocks(tfs, bcounts)
-        tfs_enc = _binary_from_seg_ends(tf_payload, tf_bends)
-        dl_payload, dl_bends = pack_for_blocks(doclens, bcounts)
-        dls_enc = _binary_from_seg_ends(dl_payload, dl_bends)
-    elif codec == "varint":
-        ids_payload, ids_ends = encode_varints(gaps[~block_start])
-        ids_enc = _segment_binary(ids_payload, ids_ends, bcounts - 1)
-        tf_payload, tf_ends = encode_varints(tfs)
-        tfs_enc = _segment_binary(tf_payload, tf_ends, bcounts)
-        dl_payload, dl_ends = encode_varints(doclens)
-        dls_enc = _segment_binary(dl_payload, dl_ends, bcounts)
-    else:
-        raise ValueError(f"unknown posting codec {codec!r}")
+    ids_enc = encode_segments(gaps[~block_start], bcounts - 1, codec)
+    tfs_enc = encode_segments(tfs, bcounts, codec)
+    dls_enc = encode_segments(doclens, bcounts, codec)
 
     bend_idx = np.append(bstart_idx[1:], n) - 1
     max_wdf = np.maximum.reduceat(tfs, bstart_idx)
     min_dl = np.minimum.reduceat(doclens, bstart_idx)
     sum_wdf = np.add.reduceat(tfs, bstart_idx)
 
-    pos_cols = {}
+    cols = [
+        terms.take(pa.array(bstart_idx)) if isinstance(terms, pa.Array)
+        else pa.array(terms[bstart_idx].tolist(), pa.string()),
+        pa.array(block_id[bstart_idx].astype(np.uint32)),
+        pa.array(doc_ids[bstart_idx]),
+        pa.array(doc_ids[bend_idx]),
+        pa.array(bcounts.astype(np.uint32)),
+        ids_enc, tfs_enc, dls_enc,
+        pa.array(max_wdf.astype(np.uint32)),
+        pa.array(min_dl.astype(np.uint32)),
+        pa.array(sum_wdf.astype(np.uint64)),
+    ]
     if npos is not None:
-        np_payload, np_ends = encode_varints(
-            np.ascontiguousarray(npos, np.uint64))
-        pos_cols["npos_enc"] = _segment_binary(np_payload, np_ends, bcounts)
-        if isinstance(pos_payloads, (pa.Array, pa.ChunkedArray)):
-            offs, pbuf = _binary_parts(pos_payloads)
-            pends = offs[1:]
-        else:  # numpy object array of bytes
-            plens = np.fromiter((len(b) for b in pos_payloads), np.int64, n)
-            pends = np.cumsum(plens)
-            pbuf = b"".join(pos_payloads)
-        if len(pends):
-            _check_binary_size(int(pends[-1]))
-        bends = np.zeros(nblocks + 1, np.int32)
-        cum_rows = np.cumsum(bcounts)
-        bends[1:] = pends[cum_rows - 1]
-        pos_cols["pos_enc"] = pa.BinaryArray.from_buffers(
-            pa.binary(), nblocks,
-            [None, pa.py_buffer(bends.tobytes()), pa.py_buffer(pbuf)])
-
-    out_terms = terms.take(pa.array(bstart_idx)) \
-        if isinstance(terms, pa.Array) \
-        else pa.array(terms[bstart_idx].tolist(), pa.string())
-    return pa.table({
-        "term": out_terms,
-        "block_id": pa.array(block_id[bstart_idx].astype(np.uint32)),
-        "first_doc_id": pa.array(doc_ids[bstart_idx]),
-        "last_doc_id": pa.array(doc_ids[bend_idx]),
-        "n": pa.array(bcounts.astype(np.uint32)),
-        "ids_enc": ids_enc,
-        "tfs_enc": tfs_enc,
-        "dls_enc": dls_enc,
-        "max_wdf": pa.array(max_wdf.astype(np.uint32)),
-        "min_doclen": pa.array(min_dl.astype(np.uint32)),
-        "sum_wdf": pa.array(sum_wdf.astype(np.uint64)),
-        **pos_cols,
-    })
-
-
-def _empty_blocks_table(with_positions: bool = False) -> pa.Table:
-    cols = {
-        "term": pa.array([], pa.string()),
-        "block_id": pa.array([], pa.uint32()),
-        "first_doc_id": pa.array([], pa.uint64()),
-        "last_doc_id": pa.array([], pa.uint64()),
-        "n": pa.array([], pa.uint32()),
-        "ids_enc": pa.array([], pa.binary()),
-        "tfs_enc": pa.array([], pa.binary()),
-        "dls_enc": pa.array([], pa.binary()),
-        "max_wdf": pa.array([], pa.uint32()),
-        "min_doclen": pa.array([], pa.uint32()),
-        "sum_wdf": pa.array([], pa.uint64()),
-    }
-    if with_positions:
-        cols["npos_enc"] = pa.array([], pa.binary())
-        cols["pos_enc"] = pa.array([], pa.binary())
-    return pa.table(cols)
-
-
-def _binary_from_seg_ends(payload: np.ndarray,
-                          seg_byte_ends: np.ndarray) -> pa.BinaryArray:
-    """BinaryArray whose value i is payload[seg_byte_ends[i-1]:
-    seg_byte_ends[i]] (zero-copy over the payload buffer)."""
-    if len(seg_byte_ends):
-        _check_binary_size(int(seg_byte_ends[-1]))
-    offs = np.zeros(len(seg_byte_ends) + 1, np.int32)
-    offs[1:] = seg_byte_ends
-    return pa.BinaryArray.from_buffers(
-        pa.binary(), len(seg_byte_ends),
-        [None, pa.py_buffer(offs.tobytes()),
-         pa.py_buffer(payload.tobytes())])
+        cols += [encode_segments(npos, bcounts, POSITION_CODEC),
+                 concat_segments(pos_payloads, bcounts)]
+    return pa.Table.from_arrays(
+        cols, schema=blocks_schema(positions=npos is not None))
 
 
 def decode_blocks(blocks: pa.Table, codec: str = "varint"
@@ -408,21 +509,9 @@ def decode_blocks(blocks: pa.Table, codec: str = "varint"
     ns = blocks.column("n").to_numpy().astype(np.int64)
     firsts = blocks.column("first_doc_id").to_numpy().astype(np.uint64)
 
-    if codec == "bitpack":
-        def seg_cat(col, counts) -> np.ndarray:
-            return unpack_for_blocks(
-                np.frombuffer(_cat_binary(col), np.uint8), counts)
-
-        gaps = seg_cat(blocks.column("ids_enc"), ns - 1)
-        tfs = seg_cat(blocks.column("tfs_enc"), ns)
-        dls = seg_cat(blocks.column("dls_enc"), ns)
-    else:
-        def cat(col) -> np.ndarray:
-            return decode_varints(np.frombuffer(_cat_binary(col), np.uint8))
-
-        gaps = cat(blocks.column("ids_enc"))
-        tfs = cat(blocks.column("tfs_enc"))
-        dls = cat(blocks.column("dls_enc"))
+    gaps = decode_segments(blocks.column("ids_enc"), ns - 1, codec)
+    tfs = decode_segments(blocks.column("tfs_enc"), ns, codec)
+    dls = decode_segments(blocks.column("dls_enc"), ns, codec)
 
     m = _ctok()
     doc_ids = _ids_from_gaps(gaps, firsts, ns)
@@ -487,34 +576,18 @@ def decode_partial_group(group: pa.Table, codec: str = "varint") -> tuple:
 
         (terms:pa.Array, doc_ids, tfs, dls[, npos, pos_payloads])
 
-    ``codec`` is the PARTIAL payload codec (IndexConfig.partial_codec).
-    The merge is pure numpy: rows sort by term (Arrow), payloads decode in
+    ``codec`` is the index's codec (the shuffle exchanges payloads in
+    it). The merge is pure numpy: rows sort by term (Arrow), payloads decode in
     one pass, the (term, doc_id) order comes from an integer lexsort over
     (dense term rank, doc_id) — no Python string comparisons."""
     order_rows = pc.sort_indices(group, sort_keys=[("term", "ascending")])
     g = group.take(order_rows)
     seg_n = g.column("n").to_numpy().astype(np.int64)
     nrows = len(seg_n)
-    total = int(seg_n.sum())
     firsts = g.column("first_id").to_numpy().astype(np.uint64)
-    if codec == "bitpack":
-        def _dec(col, counts):
-            return unpack_for_blocks(
-                np.frombuffer(_cat_binary(col), np.uint8), counts)
-
-        gaps = _dec(g.column("ids_enc"), seg_n - 1)
-        tfs = _dec(g.column("tfs_enc"), seg_n)
-        dls = _dec(g.column("dls_enc"), seg_n)
-    elif codec == "varint":
-        def _dec(col, _counts):
-            return decode_varints(
-                np.frombuffer(_cat_binary(col), np.uint8))
-
-        gaps = _dec(g.column("ids_enc"), None)
-        tfs = _dec(g.column("tfs_enc"), None)
-        dls = _dec(g.column("dls_enc"), None)
-    else:
-        raise ValueError(f"unknown partial codec {codec!r}")
+    gaps = decode_segments(g.column("ids_enc"), seg_n - 1, codec)
+    tfs = decode_segments(g.column("tfs_enc"), seg_n, codec)
+    dls = decode_segments(g.column("dls_enc"), seg_n, codec)
     ids = _ids_from_gaps(gaps, firsts, seg_n)
 
     terms_col = g.column("term").combine_chunks()
@@ -532,21 +605,9 @@ def decode_partial_group(group: pa.Table, codec: str = "varint") -> tuple:
     out = [flat_terms, ids[order], tfs[order], dls[order]]
 
     if "npos_enc" in g.column_names:
-        npos = decode_varints(np.frombuffer(
-            _cat_binary(g.column("npos_enc")), np.uint8)).astype(np.int64)
-        pos_bytes = np.frombuffer(_cat_binary(g.column("pos_enc")), np.uint8)
-        # per-posting byte boundaries: varint terminators, then group by npos
-        val_ends = np.nonzero((pos_bytes & 0x80) == 0)[0] + 1
-        cum = np.cumsum(npos)
-        post_ends = np.zeros(total + 1, np.int64)
-        nz = cum > 0
-        post_ends[1:][nz] = val_ends[cum[nz] - 1]
-        np.maximum.accumulate(post_ends, out=post_ends)
-        _check_binary_size(int(post_ends[-1]))
-        payloads = pa.BinaryArray.from_buffers(
-            pa.binary(), total,
-            [None, pa.py_buffer(post_ends.astype(np.int32).tobytes()),
-             pa.py_buffer(pos_bytes.tobytes())]).take(pa.array(order))
+        npos, pos_bytes, post_ends = position_ranges(g)
+        payloads = _binary_from_seg_ends(
+            pos_bytes, post_ends[1:]).take(pa.array(order))
         out.append(npos[order].astype(np.uint64))
         out.append(payloads)
     return tuple(out)
@@ -562,11 +623,9 @@ def decode_positions(blocks: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     if nb == 0:
         return np.zeros(1, np.int64), np.empty(0, np.uint64)
 
-    def cat(col) -> np.ndarray:
-        return decode_varints(np.frombuffer(_cat_binary(col), np.uint8))
-
-    counts = cat(blocks.column("npos_enc")).astype(np.int64)
-    vals = cat(blocks.column("pos_enc"))
+    counts = decode_segments(blocks.column("npos_enc"), None,
+                             POSITION_CODEC).astype(np.int64)
+    vals = decode_segments(blocks.column("pos_enc"), None, POSITION_CODEC)
     offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     if len(vals) == 0:

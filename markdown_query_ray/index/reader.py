@@ -23,6 +23,7 @@ import pyarrow.parquet as pq
 
 from ..functions.introselect import nth_element
 from .build import term_part
+from .codec import blocks_schema, first_value
 
 _MAXCHAR = "\U0010ffff"
 _STATS_COLS = ("term", "termfreq", "collfreq", "wdf_ub")
@@ -110,10 +111,11 @@ class IndexReader:
         buckets/segments — the input to glass's loose per-term wdf upper
         bound (glass_postlist.cc:176-191: ``max(cf - first_wdf,
         first_wdf)``), which drives ELITE_SET selection parity. Reads only
-        the terms' block_id==0 rows' metadata + one leading varint each;
-        results are cached. On tombstoned (updated) indexes the first
-        posting may be a deleted doc — a documented divergence (glass
-        rewrites the chunk on delete; we'd need a decode pass)."""
+        the terms' block_id==0 rows and decodes their first tf
+        (``codec.first_value``); results are cached. On tombstoned
+        (updated) indexes the first posting may be a deleted doc — a
+        documented divergence (glass rewrites the chunk on delete; we'd
+        need a decode pass)."""
         cache = getattr(self, "_first_wdf_cache", None)
         if cache is None:
             cache = self._first_wdf_cache = {}
@@ -133,25 +135,14 @@ class IndexReader:
                         best[term] = (did, enc)
             for term in missing:
                 hit = best.get(term)
-                if hit is None:
-                    cache[term] = 0
-                    continue
-                if self.gstats.get("codec", "varint") == "bitpack":
-                    # [width byte][packed]: first value = low w bits
-                    from .codec import unpack_for_blocks
-
-                    v = int(unpack_for_blocks(
-                        np.frombuffer(hit[1], np.uint8),
-                        np.array([1], np.int64))[0]) if hit[1] else 0
-                else:
-                    v = shift = 0
-                    for b in hit[1]:  # leading LEB128 varint of the tf stream
-                        v |= (b & 0x7F) << shift
-                        if not b & 0x80:
-                            break
-                        shift += 7
-                cache[term] = v
+                cache[term] = 0 if hit is None else \
+                    first_value(hit[1], self.codec)
         return {t: cache[t] for t in set(terms)}
+
+    @property
+    def codec(self) -> str:
+        """The posting payload codec the index was written with."""
+        return self.gstats.get("codec", "varint")
 
     @property
     def has_positions(self) -> bool:
@@ -238,8 +229,7 @@ class IndexReader:
 
         paths = self.posting_paths(terms, bucket)
         if not paths:
-            from .codec import _empty_blocks_table
-            return _empty_blocks_table()
+            return blocks_schema().empty_table()
         tset = list(set(terms))
 
         def read_one(p: str):
@@ -256,8 +246,7 @@ class IndexReader:
         else:
             tabs = [t for t in map(read_one, paths) if len(t)]
         if not tabs:
-            from .codec import _empty_blocks_table
-            return _empty_blocks_table()
+            return blocks_schema().empty_table()
         out = pa.concat_tables(tabs)
         # term, then doc order (bucket files may interleave doc ranges)
         return out.take(pc.sort_indices(

@@ -40,7 +40,7 @@ import pyarrow.parquet as pq
 
 from .. import checkpoint
 from ..config import IndexConfig
-from .build import build_index
+from .build import TERM_STATS_SCHEMA, build_index
 
 
 def _segments_path(index_dir: str) -> str:
@@ -110,13 +110,8 @@ def _tombstone_ids(index_dir: str,
     return np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
 
 
-_EMPTY_DELTAS = {
-    "term": pa.string(), "termfreq": pa.int64(),
-    "collfreq": pa.int64(), "wdf_ub": pa.int64()}
-
-
 def _empty_deltas() -> pa.Table:
-    return pa.table({k: pa.array([], t) for k, t in _EMPTY_DELTAS.items()})
+    return TERM_STATS_SCHEMA.empty_table()
 
 
 def _file_doc_id_range(path: str) -> tuple[int, int] | None:
@@ -323,13 +318,7 @@ def update_index(index_dir: str,
         raise ValueError(f"stats_mode must be 'exact' or 'stale', "
                          f"got {stats_mode!r}")
     g, segs = _load_commit_state(index_dir)
-    if cfg is None:
-        cfg = IndexConfig(
-            block_size=g["block_size"], num_term_parts=g["num_term_parts"],
-            num_doc_buckets=g["num_doc_buckets"], tokenizer=g["tokenizer"],
-            stem=g["stem"], positions=g.get("positions", False),
-            codec=g.get("codec", "varint"),
-            docs_per_bucket=g.get("docs_per_bucket", 1 << 32))
+    cfg = cfg or IndexConfig.from_gstats(g)
     gen = segs["next_gen"]
     seg_rel = os.path.join("updates", f"gen-{gen:04d}")
     seg_dir = os.path.join(index_dir, seg_rel)
@@ -444,13 +433,7 @@ def compact(index_dir: str, out_dir: str,
     posting partitions; doc_ids are preserved."""
     with open(os.path.join(index_dir, "global_stats.json")) as f:
         g = json.load(f)
-    if cfg is None:
-        cfg = IndexConfig(
-            block_size=g["block_size"], num_term_parts=g["num_term_parts"],
-            num_doc_buckets=g["num_doc_buckets"], tokenizer=g["tokenizer"],
-            stem=g["stem"], positions=g.get("positions", False),
-            codec=g.get("codec", "varint"),
-            docs_per_bucket=g.get("docs_per_bucket", 1 << 32))
+    cfg = cfg or IndexConfig.from_gstats(g)
     segs = load_segments(index_dir)
     ts = _tombstone_ids(index_dir)
 

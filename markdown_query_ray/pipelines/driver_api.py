@@ -1835,14 +1835,10 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
         # per consumer — same crash-safe parquet pattern as _gated_new
         surv_ck = os.path.join(out, "_survivors")
         # an all-duplicates (or all-gated-out) refresh leaves ZERO
-        # survivors: the checkpoint pins the schema, and the update is
-        # skipped entirely — inserting nothing is a no-op and the search
-        # serves from the base index (update_index with a 0-row dataset
-        # would otherwise fail)
+        # survivors: the checkpoint pins the schema, and the update
+        # commits an empty generation
         checkpoint.write_dataset(survivors, surv_ck, _REFRESH_DOC_SCHEMA)
-        surv_ds = ray.data.read_parquet(surv_ck)
-        if surv_ds.count() > 0:
-            update_index(out, dataset=surv_ds, cfg=cfg)
+        update_index(out, dataset=ray.data.read_parquet(surv_ck), cfg=cfg)
         checkpoint.mark_done(out, "_REFRESH_DONE")
     node = _or_node(terms)
     qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)

@@ -38,7 +38,11 @@ import pyarrow as pa
 
 from ..config import BM25Params, QueryConfig
 from ..functions.introselect import nth_element
-from ..index.codec import decode_blocks
+from ..index.codec import (
+    decode_blocks,
+    decode_position_slices,
+    position_ranges,
+)
 from ..index.reader import IndexReader
 from .ast import (
     And,
@@ -107,19 +111,7 @@ class Postings:
         blocks = self.blocks
         if blocks is None or "npos_enc" not in blocks.column_names:
             raise KeyError("index was built without positions")
-        from ..index.codec import _cat_binary, decode_varints
-
-        npos = decode_varints(np.frombuffer(
-            _cat_binary(blocks.column("npos_enc")), np.uint8)) \
-            .astype(np.int64)
-        pbytes = np.frombuffer(_cat_binary(blocks.column("pos_enc")),
-                               np.uint8)
-        val_ends = np.nonzero((pbytes & 0x80) == 0)[0] + 1
-        cum = np.cumsum(npos)
-        ends = np.zeros(len(npos) + 1, np.int64)
-        nz = cum > 0
-        ends[1:][nz] = val_ends[cum[nz] - 1]
-        np.maximum.accumulate(ends, out=ends)
+        npos, pbytes, ends = position_ranges(blocks)
         starts, ends = ends[:-1], ends[1:]
         if self.pos_sel is not None:
             starts = starts[self.pos_sel]
@@ -143,17 +135,9 @@ class Postings:
             src = starts[doc_of] + (np.arange(total, dtype=np.int64) - base)
             return self.pos_vals[src].astype(np.uint64), doc_of
         self._ensure_pos_ranges()
-        from ..index.codec import _seg_positions, decode_varints
-
-        bstarts = self.pos_starts[idx]
-        blens = (self.pos_ends[idx] - bstarts).astype(np.int64)
-        totb = int(blens.sum())
-        brep = np.repeat(np.arange(len(idx), dtype=np.int64), blens)
-        bbase = np.repeat(np.cumsum(blens) - blens, blens)
-        src = bstarts[brep] + (np.arange(totb, dtype=np.int64) - bbase)
-        vals = decode_varints(self.pos_bytes[src])
         counts = self.npos[idx]
-        positions = _seg_positions(vals, counts)
+        positions = decode_position_slices(
+            self.pos_bytes, self.pos_starts[idx], self.pos_ends[idx], counts)
         doc_of = np.repeat(np.arange(len(idx), dtype=np.int64), counts)
         return positions, doc_of
 
@@ -386,8 +370,8 @@ class Evaluator:
         if not missing:
             return
         blocks = self.reader.load_blocks(missing, self.bucket)
-        ids, tfs, dls, block_of = decode_blocks(
-            blocks, codec=self.reader.gstats.get("codec", "varint"))
+        ids, tfs, dls, block_of = decode_blocks(blocks,
+                                                codec=self.reader.codec)
         bterms = np.asarray(blocks.column("term").to_pylist(), dtype=object)
         nb = len(bterms)
         # positions are NOT decoded here: each Postings keeps its block

@@ -223,9 +223,10 @@ class FieldTokenizeStage:
     reference's field-prefix terms: each field's tokens are indexed as
     ``<prefix><token>`` with a position from the shared cross-field counter,
     plus a wdf-only ``Z<prefix><stem>`` when stemming
-    (termgenerator_internal.cc:284-312 via index_text_with_prefix). Output
-    schema matches stages.tokenize.TokenizeStage, so the rest of the build
-    (staging checkpoint, merge shuffle, codec) is unchanged."""
+    (termgenerator_internal.cc:284-312 via index_text_with_prefix). It
+    writes ``stages.tokenize.staging_table`` rows, as TokenizeStage does,
+    so the rest of the build (staging checkpoint, merge shuffle, codec) is
+    unchanged."""
 
     def __init__(self, cfg):
         from ..functions.snowball import CachingStemmer
@@ -276,32 +277,14 @@ class FieldTokenizeStage:
         return counts, pos_map
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.tokenize import pack_position_payloads
+        from ..index.codec import pack_positions
+        from ..stages.tokenize import staging_table
 
-        with_pos = self.cfg.positions
-        terms_col, tfs_col, doclens = [], [], []
-        npos_col, poss_col = [], []
         rows = batch.to_pylist()
-        for row in rows:
-            counts, pos_map = self._doc_terms(row)
-            items = sorted(counts.items())
-            terms_col.append([t for t, _ in items])
-            tfs_col.append([c for _, c in items])
-            doclens.append(sum(counts.values()))
-            if with_pos:
-                np_, po_ = pack_position_payloads(items, pos_map)
-                npos_col.append(np_)
-                poss_col.append(po_)
-        cols = {
-            "doc_id": batch.column("doc_id"),
-            "url": batch.column("fullpath"),
-            "doclen": pa.array(doclens, pa.uint32()),
-            "terms": pa.array(terms_col, pa.list_(pa.string())),
-            "tfs": pa.array(tfs_col, pa.list_(pa.uint32())),
-        }
-        if with_pos:
-            cols["npos"] = pa.array(npos_col, pa.list_(pa.uint32()))
-            cols["poss"] = pa.array(poss_col, pa.list_(pa.binary()))
+        docs = ((counts, pack_positions(pos_map) if self.cfg.positions
+                 else {})
+                for counts, pos_map in map(self._doc_terms, rows))
+        payloads = None
         if self.cfg.store_payload:
             import json
 
@@ -316,8 +299,8 @@ class FieldTokenizeStage:
                 "title": r["title"], "subtitle": r["subtitle"],
                 "body": r["body"],
             }, sort_keys=True) for r in rows]
-            cols["payload"] = pa.array(payloads, pa.large_string())
-        return pa.table(cols)
+        return staging_table(self.cfg, batch.column("doc_id"),
+                             batch.column("fullpath"), docs, payloads)
 
 
 def build_markdown_index(out_dir: str, paths: list[str], cfg=None) -> dict:

@@ -7,9 +7,10 @@ regex, Unicode tables and the term->stem cache are built ONCE per actor
 reference gets for free from its single process (Stem::new("en") once,
 src/main.rs:80-82).
 
-Output: one row per document —
+Output: one row per document (:func:`staging_schema`) —
 ``(doc_id:uint64, url, doclen:uint32, terms:list<string>, tfs:list<uint32>)``
-with ``doclen = sum(tfs)`` under the Xapian definition (Z-stems double-count;
+plus position and payload columns when configured, with
+``doclen = sum(tfs)`` under the Xapian definition (Z-stems double-count;
 glass_database.cc:1121-1131). One-row-per-doc keeps the stage's output
 ~10x smaller than exploded postings and makes the staging checkpoint (the
 resumable boundary) cheap; the explode to flat (term, doc_id, tf) rows
@@ -18,7 +19,6 @@ happens inside the shuffle stage.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..config import IndexConfig
@@ -33,7 +33,6 @@ from ..functions.xapian_tokenizer import (
     term_counts,
     tokenize_ngram,
 )
-from ..index.codec import encode_varints
 
 
 class TokenizeStage:
@@ -50,13 +49,18 @@ class TokenizeStage:
         self.cjk = cfg.cjk_ngram and self.xapian_mode
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        # the Document::set_data analog: with store_payload the raw text
+        # rides the staging checkpoint (columnar, compressed) for
+        # retrieval-time preview
+        return staging_table(self.cfg, batch.column("doc_id"),
+                             batch.column("url"), self._doc_maps(batch),
+                             payloads=batch.column("text"))
+
+    def _doc_maps(self, batch: pa.Table):
+        """Each document's (term -> wdf, term -> (npos, payload)) maps,
+        one at a time."""
         max_bytes = self.cfg.max_term_bytes
         with_pos = self.cfg.positions
-        terms_col: list[list[str]] = []
-        tfs_col: list[list[int]] = []
-        doclens: list[int] = []
-        npos_col: list[list[int]] = []
-        poss_col: list[list[bytes]] = []
         # boolean (wdf-0) terms: the add_boolean_term analog — the Q<url> id
         # term (upsert/lookup key, src/document.rs:185-187) plus an L<lang>
         # facet term when the column exists. wdf 0 => they score 0, never
@@ -68,6 +72,7 @@ class TokenizeStage:
         texts = batch.column("text").to_pylist()
         for row_i, text in enumerate(texts):
             text = text or ""
+            pos_of = {}
             if self.cjk and not text.isascii():
                 toks_f = tokenize_ngram(text, max_bytes)
                 counts = term_counts([t for t, _ in toks_f],
@@ -88,71 +93,56 @@ class TokenizeStage:
             else:
                 counts = fast_term_counts(
                     text, stemmer=self.stemmer, max_term_bytes=max_bytes)
-            doclen = sum(counts.values())  # before wdf-0 terms (Xapian)
             boolean_terms = [f"Q{urls[row_i]}"]
             if langs is not None and langs[row_i]:
                 boolean_terms.append(f"L{langs[row_i]}")
             for bt in boolean_terms:
                 if len(bt.encode("utf-8")) <= 245:  # Xapian key-length cap
                     counts.setdefault(bt, 0)
-            # sorted term order: deterministic output regardless of dict order
-            items = sorted(counts.items())
-            terms_col.append([t for t, _ in items])
-            tfs_col.append([c for _, c in items])
-            doclens.append(doclen)
-            if with_pos:
-                npos_col.append([pos_of[t][0] if t in pos_of else 0
-                                 for t, _ in items])
-                poss_col.append([pos_of[t][1] if t in pos_of else b""
-                                 for t, _ in items])
-        cols = {
-            "doc_id": batch.column("doc_id"),
-            "url": batch.column("url"),
-            "doclen": pa.array(doclens, pa.uint32()),
-            "terms": pa.array(terms_col, pa.list_(pa.string())),
-            "tfs": pa.array(tfs_col, pa.list_(pa.uint32())),
-        }
-        if with_pos:
-            cols["npos"] = pa.array(npos_col, pa.list_(pa.uint32()))
-            cols["poss"] = pa.array(poss_col, pa.list_(pa.binary()))
-        if self.cfg.store_payload:
-            # the Document::set_data analog: the raw text rides the staging
-            # checkpoint (columnar, compressed) for retrieval-time preview
-            cols["payload"] = batch.column("text").cast(pa.large_string())
-        return pa.table(cols)
+            yield counts, pos_of
 
-def pack_position_payloads(items: list[tuple[str, int]],
-                           pos_map: dict[str, list[int]]
-                           ) -> tuple[list[int], list[bytes]]:
-    """Per-term position payloads for one document: 1-based token positions
-    (termgenerator_internal.cc:269-277), delta-packed as varint
-    [first, gap, gap, ...]. Terms absent from ``pos_map`` (Z-stems: STEM_SOME
-    adds stems wdf-only) carry no positions. One varint-encode call per doc;
-    per-term byte ranges come from the value-end offsets. Returns
-    (npos, payloads) aligned with ``items``."""
-    deltas: list[int] = []
-    counts: list[int] = []
-    for term, _ in items:
-        plist = pos_map.get(term)
-        if plist is None:
-            counts.append(0)
-            continue
-        counts.append(len(plist))
-        prev = 0
-        for p in plist:
-            deltas.append(p - prev)
-            prev = p
-    payload, ends = encode_varints(np.asarray(deltas, np.uint64))
-    buf = payload.tobytes()
-    npos_out: list[int] = []
-    poss_out: list[bytes] = []
-    vi = 0
-    for c in counts:
-        npos_out.append(c)
-        if c == 0:
-            poss_out.append(b"")
-        else:
-            lo = int(ends[vi - 1]) if vi else 0
-            poss_out.append(buf[lo:int(ends[vi + c - 1])])
-            vi += c
-    return npos_out, poss_out
+
+def staging_schema(cfg: IndexConfig) -> pa.Schema:
+    """The tokenized staging table (``tokenized/``): what
+    :class:`TokenizeStage` and the markdown field stage write, and what an
+    empty build pins."""
+    fields = [("doc_id", pa.uint64()), ("url", pa.string()),
+              ("doclen", pa.uint32()), ("terms", pa.list_(pa.string())),
+              ("tfs", pa.list_(pa.uint32()))]
+    if cfg.positions:
+        fields += [("npos", pa.list_(pa.uint32())),
+                   ("poss", pa.list_(pa.binary()))]
+    if cfg.store_payload:
+        fields.append(("payload", pa.large_string()))
+    return pa.schema(fields)
+
+
+def staging_table(cfg: IndexConfig, doc_ids, urls, docs,
+                  payloads=None) -> pa.Table:
+    """One batch of staging rows. ``docs`` yields each document's
+    (term -> wdf, term -> (npos, position payload)) maps (an iterator, so
+    a document's maps are freed once its row is built); terms are
+    written in sorted order, and doclen is the sum of wdfs (Xapian's
+    definition: Z-stems count, wdf-0 boolean terms do not).
+    ``payloads`` is only written when ``cfg.store_payload``."""
+    terms_col, tfs_col, doclens, npos_col, poss_col = [], [], [], [], []
+    for counts, pos_of in docs:
+        items = sorted(counts.items())
+        terms_col.append([t for t, _ in items])
+        tfs_col.append([c for _, c in items])
+        doclens.append(sum(counts.values()))
+        if cfg.positions:
+            npos_col.append([pos_of[t][0] if t in pos_of else 0
+                             for t, _ in items])
+            poss_col.append([pos_of[t][1] if t in pos_of else b""
+                             for t, _ in items])
+    cols = [doc_ids, urls, doclens, terms_col, tfs_col]
+    if cfg.positions:
+        cols += [npos_col, poss_col]
+    if cfg.store_payload:
+        cols.append(payloads)
+    schema = staging_schema(cfg)
+    return pa.Table.from_arrays(
+        [c.cast(f.type) if isinstance(c, (pa.Array, pa.ChunkedArray))
+         else pa.array(c, f.type) for c, f in zip(cols, schema)],
+        schema=schema)

@@ -1,7 +1,11 @@
 """Property-based round-trip tests for the varint/delta block codec."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,3 +226,130 @@ def test_seg_prefix_sum_kernel_matches_numpy():
         base = cs[starts] - vals[starts]
         want = cs - np.repeat(base, counts[counts > 0])
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("positions", [False, True])
+@pytest.mark.parametrize("codec", ["varint", "bitpack"])
+def test_partial_rows_roundtrip(codec, positions):
+    """The merge shuffle's partial rows (PartialPostingsStage, coded in the
+    index codec) decode back, per shuffle group, to exactly the postings
+    the staging rows hold, in (term, doc_id) order."""
+    from markdown_query_ray.config import IndexConfig
+    from markdown_query_ray.index.build import PartialPostingsStage, term_part
+    from markdown_query_ray.index.codec import (
+        decode_partial_group,
+        pack_positions,
+        partial_schema,
+    )
+    from markdown_query_ray.stages.tokenize import staging_table
+
+    rng = np.random.default_rng(5)
+    cfg = IndexConfig(num_term_parts=3, num_doc_buckets=2, codec=codec,
+                      positions=positions)
+    dpb = 1000
+    vocab = [f"w{i}" for i in range(25)]
+    doc_ids = np.sort(rng.choice(4 * dpb, 60, replace=False))
+    docs, want = [], []
+    for d in doc_ids.tolist():
+        terms = rng.choice(vocab, int(rng.integers(1, 10)), replace=False)
+        counts, pos_map = {}, {}
+        for t in terms.tolist():
+            counts[t] = int(rng.integers(1, 6))
+            pos_map[t] = sorted((rng.choice(10**5, counts[t], replace=False)
+                                 + 1).tolist())
+        counts["Zbig"] = int(rng.integers(0, 1 << 20))  # wide, no positions
+        pos_of = pack_positions(pos_map)
+        docs.append((counts, pos_of if positions else {}))
+        dl = sum(counts.values())
+        for t, tf in counts.items():
+            skey = term_part(t, 3) * 2 + (d // dpb) % 2
+            npos, payload = pos_of.get(t, (0, b""))
+            want.append((skey, t, d, tf, dl, npos, payload))
+    batch = staging_table(cfg, pa.array(doc_ids, pa.uint64()),
+                          pa.array([f"u{d}" for d in doc_ids.tolist()]),
+                          docs)
+    stage = PartialPostingsStage(cfg, dpb)
+    rows = pa.concat_tables([stage(batch.slice(0, 25)),
+                             stage(batch.slice(25))])
+    assert rows.schema == partial_schema(positions)
+    skeys = rows.column("skey").to_numpy()
+    assert sorted(set(skeys.tolist())) == sorted({w[0] for w in want})
+    for k in set(skeys.tolist()):
+        got = decode_partial_group(rows.filter(pa.array(skeys == k)),
+                                   codec=codec)
+        exp = sorted(w[1:] for w in want if w[0] == k)
+        cols = [got[0].to_pylist()] + [c.tolist() for c in got[1:4]]
+        if positions:
+            cols += [got[4].tolist(), got[5].to_pylist()]
+        else:
+            assert len(got) == 4
+            exp = [e[:4] for e in exp]
+        assert list(zip(*cols)) == exp
+
+
+def test_unknown_codec_raises():
+    with pytest.raises(ValueError, match="unknown posting codec"):
+        encode_partition(np.array(["a"], dtype=object),
+                         np.array([1], np.uint64), np.array([1], np.uint64),
+                         np.array([1], np.uint64), codec="zstd")
+    blocks = _roundtrip(["x"], [7], [3], [11], 128)
+    with pytest.raises(ValueError, match="unknown posting codec"):
+        decode_blocks(blocks, codec="zstd")
+
+
+# ---------------------------------------------------------------------------
+# source scan: the payload format is known to index/codec.py only
+# ---------------------------------------------------------------------------
+
+_PKG = pathlib.Path(__file__).resolve().parents[1] / "markdown_query_ray"
+_CODEC_NAMES = {"varint", "bitpack"}
+_VARINT_MASKS = {0x80, 0x7F}
+
+
+def _constants(node):
+    if isinstance(node, ast.Constant):
+        yield node.value
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for e in node.elts:
+            yield from _constants(e)
+
+
+def _format_knowledge(source: str):
+    """(line, what) of each comparison against a codec name and each
+    varint bit mask (``& 0x80`` / ``& 0x7F``) in one module's source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in [node.left, *node.comparators]:
+                for v in _constants(operand):
+                    if isinstance(v, str) and v in _CODEC_NAMES:
+                        yield node.lineno, f"compares against {v!r}"
+        elif isinstance(node, ast.BinOp) and \
+                isinstance(node.op, (ast.BitAnd, ast.BitOr)):
+            for v in _constants(node.left):
+                if isinstance(v, int) and v in _VARINT_MASKS:
+                    yield node.lineno, f"masks varint bits {v:#x}"
+            for v in _constants(node.right):
+                if isinstance(v, int) and v in _VARINT_MASKS:
+                    yield node.lineno, f"masks varint bits {v:#x}"
+
+
+def test_payload_format_owned_by_codec_module():
+    """Outside index/codec.py, no index or query module branches on a
+    codec name or parses varint bytes: a format change is a change to
+    one module."""
+    found = []
+    for sub in ("index", "query"):
+        for path in sorted((_PKG / sub).rglob("*.py")):
+            if path.name == "codec.py" and sub == "index":
+                continue
+            for line, what in _format_knowledge(path.read_text()):
+                found.append(f"{path.relative_to(_PKG)}:{line} {what}")
+    assert not found, "\n".join(found)
+
+
+def test_format_scan_sees_what_it_forbids():
+    src = ("if g.get('codec') == 'bitpack':\n    pass\n"
+           "v |= (b & 0x7F) << s\nif codec in ('varint', 'x'):\n    pass\n")
+    assert sorted(line for line, _ in _format_knowledge(src)) == [1, 3, 4]
+    codec_src = (_PKG / "index" / "codec.py").read_text()
+    assert any("0x80" in w for _, w in _format_knowledge(codec_src))

@@ -147,19 +147,26 @@ def test_bitpack_codec_equivalent(ray_session, pages_corpus, tmp_path,
                                   built_index):
     """An index built with codec="bitpack" must decode to identical posting
     lists and return identical search results (ranks AND scores) as the
-    varint index over the same corpus."""
+    varint index over the same corpus. The merge shuffle exchanges
+    bitpack partial rows here, so this also checks that the shuffle codec
+    never reaches disk beyond the payloads: same block boundaries, same
+    stats."""
     out = str(tmp_path / "idx_bp")
     cfg = IndexConfig(num_term_parts=4, num_doc_buckets=2, block_size=32,
                       codec="bitpack")
     gstats = build_index(out, paths=pages_corpus, cfg=cfg)
     assert gstats["codec"] == "bitpack"
+    base_g = built_index[2]
+    assert gstats["n_docs"] == base_g["n_docs"]
+    assert gstats["total_doclen"] == base_g["total_doclen"]
     rb = IndexReader(out)
     rv = IndexReader(built_index[0])
     for term in ["the", "Zthe", "xqzraretri", "uncle"]:
         a = decode_blocks(rv.load_blocks([term]), codec="varint")
         b = decode_blocks(rb.load_blocks([term]), codec="bitpack")
-        for x, y in zip(a[:3], b[:3]):
-            assert x.tolist() == y.tolist()
+        for x, y in zip(a, b):
+            assert x.tolist() == y.tolist(), term
+        assert rv.term_stats([term]) == rb.term_stats([term])
     assert rb.first_wdf(["the", "xqzraretri"]) == \
         rv.first_wdf(["the", "xqzraretri"])
     from markdown_query_ray.config import BM25Params, QueryConfig
@@ -223,35 +230,39 @@ def test_staging_checkpoint_resume(ray_session, pages_corpus, tmp_path):
     assert os.path.isdir(os.path.join(out, "postings"))
 
 
-def test_bitpack_partial_codec_identical_index(ray_session, pages_corpus,
-                                               tmp_path, built_index):
-    """partial_codec="bitpack" changes only the merge-shuffle payload
-    encoding; the resulting index must be POSTING-IDENTICAL to the varint
-    partials build (same final blocks, same stats, same searches)."""
-    out = str(tmp_path / "idx_bpp")
-    cfg = IndexConfig(num_term_parts=4, num_doc_buckets=2, block_size=32,
-                      partial_codec="bitpack")
-    gstats = build_index(out, paths=pages_corpus, cfg=cfg)
-    base_dir, base_cfg, base_g = built_index
-    assert gstats["n_docs"] == base_g["n_docs"]
-    assert gstats["total_doclen"] == base_g["total_doclen"]
-    rb = IndexReader(out)
-    rv = IndexReader(base_dir)
-    for term in ["the", "Zthe", "xqzraretri", "uncle"]:
-        a = decode_blocks(rv.load_blocks([term]))
-        b = decode_blocks(rb.load_blocks([term]))
-        for x, y in zip(a[:3], b[:3]):
-            assert x.tolist() == y.tolist(), term
-        assert rv.term_stats([term]) == rb.term_stats([term])
-    from markdown_query_ray.config import BM25Params, QueryConfig
-    from markdown_query_ray.query import executor as qx
-    from markdown_query_ray.query.compiler import parse_user_query
+def test_distributed_stats_and_url_map_legs_match_driver(
+        ray_session, pages_corpus, tmp_path, built_index, monkeypatch):
+    """Past their row thresholds the term-stats merge and the url map run
+    as Ray groupbys instead of driver-side passes; both legs must write
+    the same term dictionary, wdf bound and url map."""
+    import pyarrow as pa
 
-    qc = QueryConfig(k=20, params=BM25Params.xapian(), use_wand=True)
-    for q in ["the quick merge", "merge AND sort", "xqzraretri"]:
-        hv = qx.search(base_dir, parse_user_query(q), qc)
-        hb = qx.search(out, parse_user_query(q), qc)
-        assert hv.column("doc_id").to_pylist() == \
-            hb.column("doc_id").to_pylist(), q
-        assert hv.column("score").to_pylist() == \
-            pytest.approx(hb.column("score").to_pylist(), rel=1e-12), q
+    from markdown_query_ray.index import build as build_mod
+
+    monkeypatch.setattr(build_mod, "URL_MAP_DRIVER_ROWS", 0)
+    monkeypatch.setattr(build_mod, "TERM_STATS_DRIVER_ROWS", 0)
+    base_dir, cfg, base_g = built_index
+    out = str(tmp_path / "idx_dist")
+    g = build_index(out, paths=pages_corpus, cfg=cfg)
+    assert g["wdf_ub_global"] == base_g["wdf_ub_global"]
+    rv, rd = IndexReader(base_dir), IndexReader(out)
+    assert rd.wdf_ub_global == rv.wdf_ub_global
+    terms = pq.ParquetDataset(os.path.join(base_dir, "term_stats")).read(
+        columns=["term"]).column("term").to_pylist()
+    assert len(terms) > 1000
+    assert rd.term_stats(terms) == rv.term_stats(terms)
+    for prefix in ["th", "Zth", "q", "x"]:
+        for limit in [0, 3]:
+            assert rd.expand_wildcard(prefix, limit, most_frequent=True) \
+                == rv.expand_wildcard(prefix, limit, most_frequent=True)
+
+    def url_map(d):
+        files = sorted(os.listdir(os.path.join(d, "url_map")))
+        t = pa.concat_tables(
+            [pq.read_table(os.path.join(d, "url_map", f))
+             for f in files if f.endswith(".parquet")])
+        return files, t.sort_by("url").to_pylist()
+
+    base_files, base_rows = url_map(base_dir)
+    assert len(base_rows) == base_g["n_docs"]
+    assert url_map(out) == (base_files, base_rows)

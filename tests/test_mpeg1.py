@@ -178,3 +178,21 @@ def test_mpeg1_fixture_lossless_and_pipeline(ray_session):
 
     out = video_frame_features(ray.data.from_arrow(t), n_samples=4)
     assert out.count() > 0
+
+
+def test_sequence_header_without_matrix_resets_custom_matrix():
+    """A second sequence header that loads no intra matrix must decode
+    with the default matrix, not the first sequence's custom one."""
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+    b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
+    custom = encode_mpeg1_iframes([a], qscale=2,
+                                  qmat=np.full((8, 8), 40, np.int64))
+    end = b"\x00\x00\x01\xb7"
+    assert custom.endswith(end)
+    default = encode_mpeg1_iframes([b, b[::-1]], qscale=2)
+    both = decode_mpeg1_iframes(custom[:-len(end)] + default)
+    assert len(both) == 3
+    assert np.array_equal(both[0], decode_mpeg1_iframes(custom)[0])
+    alone = decode_mpeg1_iframes(default)
+    assert np.array_equal(np.stack(list(both[1:])), alone)

@@ -84,6 +84,79 @@ def test_update_preserves_bitpack_codec(ray_session, tmp_path):
     assert _search_ids(out, "alpha") == (set(range(10)) - {3}) | {10, 11}
 
 
+def test_update_and_compact_keep_payload_and_cjk_settings(ray_session,
+                                                         tmp_path):
+    """update_index / compact rebuild the base's config from its global
+    stats: a store_payload + cjk_ngram index keeps storing payloads and
+    indexing CJK n-grams for updated docs, and compaction keeps them."""
+    import ray.data
+
+    from markdown_query_ray.query.session import SearchSession
+
+    cfg = IndexConfig(num_term_parts=2, num_doc_buckets=1, block_size=16,
+                      store_payload=True, cjk_ngram=True)
+    rows = [(f"u{i}", f"plain doc{i} 机器学习") for i in range(6)]
+    p = str(tmp_path / "b.parquet")
+    _pages(rows, p)
+    idx = str(tmp_path / "idx")
+    build_index(idx, dataset=ray.data.read_parquet(p), cfg=cfg,
+                total_docs=6)
+    p2 = str(tmp_path / "d.parquet")
+    _pages([("u2", "changed 深度网络")], p2, base_id=6)
+    update_index(idx, dataset=ray.data.read_parquet(p2))
+
+    def check(index_dir):
+        s = SearchSession(index_dir, QueryConfig(k=10))
+        assert s.get_documents([6]) == {6: "changed 深度网络"}
+        hits = s.search("深度", grammar="freetext-cjk")
+        assert hits.column("doc_id").to_pylist() == [6]
+        base = s.search("机器", grammar="freetext-cjk")
+        assert sorted(base.column("doc_id").to_pylist()) == [0, 1, 3, 4, 5]
+
+    check(idx)
+    out = str(tmp_path / "cidx")
+    compact(idx, out)
+    check(out)
+
+
+def test_empty_build(ray_session, tmp_path):
+    """A 0-row build is an empty, searchable index that updates fill."""
+    import ray.data
+
+    empty = str(tmp_path / "empty.parquet")
+    _pages([], empty)
+    eidx = str(tmp_path / "eidx")
+    g = build_index(eidx, dataset=ray.data.read_parquet(empty), cfg=CFG)
+    assert (g["n_docs"], g["total_doclen"], g["wdf_ub_global"]) == (0, 0, 0)
+    assert _search_ids(eidx, "alpha") == set()
+    p = str(tmp_path / "rows.parquet")
+    _pages([("u1", "alpha one"), ("u2", "alpha two")], p)
+    g = update_index(eidx, dataset=ray.data.read_parquet(p))
+    assert g["n_docs"] == 2
+    assert _search_ids(eidx, "alpha") == {0, 1}
+
+
+def test_empty_update_commits_empty_generation(base_index, tmp_path):
+    """A 0-row update commits an empty generation: next_gen advances,
+    n_docs and every result stay as they were."""
+    import ray.data
+
+    from markdown_query_ray.index.update import load_segments
+
+    empty = str(tmp_path / "empty.parquet")
+    _pages([], empty)
+    idx, rows = base_index
+    before = load_segments(idx)
+    want = {t: _search_ids(idx, t) for t in ["alpha", "gamma", "doc3"]}
+    g = update_index(idx, dataset=ray.data.read_parquet(empty))
+    after = load_segments(idx)
+    assert after["next_gen"] == before["next_gen"] + 1
+    assert after["next_doc_id"] == before["next_doc_id"]
+    assert g["n_docs"] == len(rows)
+    assert IndexReader(idx).n_docs == len(rows)
+    assert {t: _search_ids(idx, t) for t in want} == want
+
+
 def test_update_adds_and_replaces(base_index, tmp_path):
     import ray.data
 

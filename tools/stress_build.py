@@ -2,15 +2,16 @@
 
 Round 2 measured the 4M-doc build's merge shuffle spilling out of the
 object store (224.8 s vs 64.5 s at 2M). This tool reruns the corpus-sweep
-build at a given size with interleaved A/B legs over a config knob
-(default: partial_codec varint vs bitpack) and reports per-stage metrics
-plus Ray's spill counters.
+build at a given size with interleaved A/B legs over the index codec
+(varint vs bitpack; the merge shuffle exchanges payloads in the index's
+codec, so this compares both the shuffle bytes and the on-disk format)
+and reports per-stage metrics plus Ray's spill counters.
 
 Corpus files are cached per (docs, token_scale) under /tmp and reused.
 
 Usage:
   python tools/stress_build.py --docs 2000000 --legs 2
-  python tools/stress_build.py --docs 4000000 --knob partial_codec
+  python tools/stress_build.py --docs 4000000
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def main() -> None:
                               num_doc_buckets=args.buckets),
         "bitpack": IndexConfig(num_term_parts=args.parts,
                                num_doc_buckets=args.buckets,
-                               partial_codec="bitpack"),
+                               codec="bitpack"),
     }
     results: dict[str, list[dict]] = {k: [] for k in variants}
     # interleave legs A B A B ... (VM noise discipline from BASELINE.md)
