@@ -110,7 +110,7 @@ def cmd_build(args) -> int:
 
 def cmd_update(args) -> int:
     _ray_up(args.num_cpus)
-    from .index.update import update_index
+    from .index.update import load_segments, update_index
 
     # file-backed crawl input: hand update_index a factory so the sources'
     # file-rank prefix-sum ids continue the index's id space directly — no
@@ -129,8 +129,10 @@ def cmd_update(args) -> int:
             dataset_fn=lambda base: read_jsonl(args.jsonl, id_base=base))
     else:
         g = update_index(args.index, paths=args.pages)
+    # segments: the count after the update's commit and merge
+    n_segs = len(load_segments(args.index)["segments"])
     print(json.dumps({"n_docs": g["n_docs"],
-                      "avg_doclen": g["avg_doclen"]}))
+                      "avg_doclen": g["avg_doclen"], "segments": n_segs}))
     return 0
 
 

@@ -189,6 +189,9 @@ URL_MAP_DRIVER_ROWS = 100_000
 # this the merge runs as a distributed Ray groupby, so a trillion-doc
 # term dictionary never has to fit on the driver
 TERM_STATS_DRIVER_ROWS = 2_000_000
+# parquet settings of every postings/part-*.parquet: small row groups so
+# the reader's term filter prunes, the term column dictionary-encoded
+POSTINGS_PARQUET = {"row_group_size": 4096, "use_dictionary": ["term"]}
 
 
 def _url_bucket_batch(batch: pa.Table) -> pa.Table:
@@ -219,6 +222,43 @@ def _write_url_map_group(group: pa.Table, out_dir: str) -> pa.Table:
                                path)
     return pa.table({"bucket": pa.array([b], pa.int32()),
                      "rows": pa.array([group.num_rows], pa.int64())})
+
+
+def write_url_map(out_dir: str) -> None:
+    """Write ``out_dir/url_map/`` from the (url, doc_id, doclen) columns
+    of ``out_dir/tokenized/``: one file per hash bucket, then the done
+    marker."""
+    tok_dir = os.path.join(out_dir, "tokenized")
+    um_dir = os.path.join(out_dir, "url_map")
+    checkpoint.clear_dir(um_dir)
+    tok_rows = sum(
+        pq.ParquetFile(os.path.join(tok_dir, f)).metadata.num_rows
+        for f in os.listdir(tok_dir) if f.endswith(".parquet"))
+    if tok_rows <= URL_MAP_DRIVER_ROWS:
+        # small build: one local pass beats a Ray shuffle whose fixed
+        # scheduling cost exceeds the work (measured 1.4 s vs 0.1 s at
+        # 5k docs)
+        t = pq.ParquetDataset(tok_dir).read(
+            columns=["url", "doc_id", "doclen"])
+        bucketed = _url_bucket_batch(t)
+        ub = bucketed.column("ubucket").to_numpy()
+        for b in np.unique(ub):
+            _write_url_map_group(
+                bucketed.filter(pa.array(ub == b)), out_dir)
+    else:
+        from functools import partial
+
+        import ray.data
+
+        ray.data.read_parquet(
+            tok_dir, file_extensions=["parquet"],
+            columns=["url", "doc_id", "doclen"]
+        ).map_batches(
+            _url_bucket_batch, batch_format="pyarrow"
+        ).groupby("ubucket").map_groups(
+            partial(_write_url_map_group, out_dir=out_dir),
+            batch_format="pyarrow").materialize()
+    checkpoint.mark_done(um_dir, "_SUCCESS")
 
 
 def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table | None:
@@ -267,6 +307,46 @@ def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
     })
 
 
+def merge_term_stats(files: list[str], ts_dir: str) -> int:
+    """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files) into
+    ``ts_dir``: per term, the sum of termfreq and collfreq and the max of
+    wdf_ub, sorted by term. Returns the max wdf_ub — the glass version-file
+    wdf_ubound analog (glass_version.h:260-262), input to the per-term
+    xapian wdf bound. Small folds run driver-side as one Arrow groupby;
+    past TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a trillion-doc term
+    dictionary never has to fit on the driver."""
+    checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
+    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    if rows <= TERM_STATS_DRIVER_ROWS:
+        tbl = pq.ParquetDataset(files).read() if files \
+            else TERM_STATS_SCHEMA.empty_table()
+        agg = pa.TableGroupBy(tbl, "term").aggregate(
+            [("termfreq", "sum"), ("collfreq", "sum"), ("wdf_ub", "max")])
+        merged = pa.table({
+            "term": agg.column("term"),
+            "termfreq": agg.column("termfreq_sum").cast(pa.int64()),
+            "collfreq": agg.column("collfreq_sum").cast(pa.int64()),
+            "wdf_ub": agg.column("wdf_ub_max").cast(pa.int64()),
+        })
+        merged = merged.take(pc.sort_indices(
+            merged, sort_keys=[("term", "ascending")]))
+        checkpoint.write_table(
+            merged, os.path.join(ts_dir, "part-000000.parquet"),
+            row_group_size=1 << 16)
+        return int(pc.max(merged.column("wdf_ub")).as_py() or 0)
+    import ray.data
+    from ray.data.aggregate import Max, Sum
+
+    checkpoint.write_dataset(
+        ray.data.read_parquet(files).groupby("term").aggregate(
+            Sum("termfreq", alias_name="termfreq"),
+            Sum("collfreq", alias_name="collfreq"),
+            Max("wdf_ub", alias_name="wdf_ub")), ts_dir)
+    mx = ray.data.read_parquet(files).aggregate(
+        Max("wdf_ub", alias_name="m"))
+    return int(mx["m"] or 0)
+
+
 def encode_write_group(group: pa.Table, out_dir: str,
                        cfg: IndexConfig,
                        docs_per_bucket: int | None = None) -> pa.Table:
@@ -304,8 +384,7 @@ def encode_write_group(group: pa.Table, out_dir: str,
                               **pos_kw)
     checkpoint.write_table(_stats_partial_from_blocks(blocks), spath)
     # postings last: the resume marker
-    checkpoint.write_table(blocks, path, row_group_size=4096,
-                           use_dictionary=["term"])
+    checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
     return _manifest_row(skey, path, len(blocks), n_rows,
                          os.path.getsize(path), resumed=False,
                          seconds=time.perf_counter() - t0)
@@ -388,36 +467,9 @@ def build_index(out_dir: str,
     # small shuffle of (url, doc_id, doclen) rows into URL_MAP_BUCKETS
     # bucket files; lookups read only the buckets their urls hash to.
     t0 = time.perf_counter()
-    um_dir = os.path.join(out_dir, "url_map")
-    if "url" in tokds.schema().names and \
-            not checkpoint.is_done(um_dir, "_SUCCESS"):
-        checkpoint.clear_dir(um_dir)
-        tok_rows = sum(
-            pq.ParquetFile(os.path.join(tok_dir, f)).metadata.num_rows
-            for f in os.listdir(tok_dir) if f.endswith(".parquet"))
-        if tok_rows <= URL_MAP_DRIVER_ROWS:
-            # small build: one local pass beats a Ray shuffle whose fixed
-            # scheduling cost exceeds the work (measured 1.4 s vs 0.1 s at
-            # 5k docs)
-            t = pq.ParquetDataset(tok_dir).read(
-                columns=["url", "doc_id", "doclen"])
-            bucketed = _url_bucket_batch(t)
-            ub = bucketed.column("ubucket").to_numpy()
-            for b in np.unique(ub):
-                _write_url_map_group(
-                    bucketed.filter(pa.array(ub == b)), out_dir)
-        else:
-            from functools import partial as _partial
-
-            umds = ray.data.read_parquet(
-                tok_dir, file_extensions=["parquet"],
-                columns=["url", "doc_id", "doclen"])
-            umds.map_batches(
-                _url_bucket_batch, batch_format="pyarrow"
-            ).groupby("ubucket").map_groups(
-                _partial(_write_url_map_group, out_dir=out_dir),
-                batch_format="pyarrow").materialize()
-        checkpoint.mark_done(um_dir, "_SUCCESS")
+    if "url" in tokds.schema().names and not checkpoint.is_done(
+            os.path.join(out_dir, "url_map"), "_SUCCESS"):
+        write_url_map(out_dir)
     _mark("url_map", t0)
 
     # ---- stage 2: global stats (per-file partials, driver reduce) ----------
@@ -427,8 +479,6 @@ def build_index(out_dir: str,
     # so it runs as a task-pool map over files (one tiny partial row per
     # file) + an O(files) driver fold — an all-to-all ``Dataset.aggregate``
     # here would shuffle for no reason.
-    from ray.data.aggregate import Max, Sum
-
     t0 = time.perf_counter()
     tok_files = sorted(
         os.path.join(tok_dir, f) for f in os.listdir(tok_dir)
@@ -503,53 +553,15 @@ def build_index(out_dir: str,
 
     # ---- stage 4: merge per-group term-stat partials -----------------------
     # Each shuffle group wrote exact partials for its (term-part, doc-bucket)
-    # slice; the final merge sums S partials per (term, part). Small merges
-    # (test/bench scale) run driver-side as one Arrow groupby; past
-    # TERM_STATS_DRIVER_ROWS it becomes a Ray groupby over the partials
-    # dataset — same semantics, distributed.
-    ts_dir = os.path.join(out_dir, "term_stats")
-    tsp_dir = os.path.join(out_dir, "term_stats_parts")
+    # slice; the final merge sums S partials per (term, part).
     t0 = time.perf_counter()
-    checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
+    tsp_dir = os.path.join(out_dir, "term_stats_parts")
     # an empty build wrote no shuffle group, so no partials
     part_files = [os.path.join(tsp_dir, f)
                   for f in sorted(os.listdir(tsp_dir))
                   if f.endswith(".parquet")] if os.path.isdir(tsp_dir) else []
-    partial_rows = sum(pq.ParquetFile(f).metadata.num_rows
-                       for f in part_files)
-    if partial_rows <= TERM_STATS_DRIVER_ROWS:
-        parts_tbl = pq.ParquetDataset(part_files).read() if part_files \
-            else TERM_STATS_SCHEMA.empty_table()
-        agg = pa.TableGroupBy(parts_tbl, "term").aggregate(
-            [("termfreq", "sum"), ("collfreq", "sum"), ("wdf_ub", "max")])
-        merged = pa.table({
-            "term": agg.column("term"),
-            "termfreq": agg.column("termfreq_sum").cast(pa.int64()),
-            "collfreq": agg.column("collfreq_sum").cast(pa.int64()),
-            "wdf_ub": agg.column("wdf_ub_max").cast(pa.int64()),
-        })
-        merged = merged.take(pc.sort_indices(
-            merged, sort_keys=[("term", "ascending")]))
-        checkpoint.write_table(
-            merged, os.path.join(ts_dir, "part-000000.parquet"),
-            row_group_size=1 << 16)
-        gstats["wdf_ub_global"] = int(
-            pc.max(merged.column("wdf_ub")).as_py() or 0)
-    else:
-        term_stats = ray.data.read_parquet(
-            tsp_dir, file_extensions=["parquet"]).groupby("term").aggregate(
-            Sum("termfreq", alias_name="termfreq"),
-            Sum("collfreq", alias_name="collfreq"),
-            Max("wdf_ub", alias_name="wdf_ub"),
-        )
-        checkpoint.write_dataset(term_stats, ts_dir)
-        from ray.data.aggregate import Max as _Max
-        mx = ray.data.read_parquet(
-            tsp_dir, file_extensions=["parquet"]).aggregate(
-            _Max("wdf_ub", alias_name="m"))
-        # glass version-file wdf_ubound analog (glass_version.h:260-262):
-        # exact global max wdf, input to the per-term xapian wdf bound
-        gstats["wdf_ub_global"] = int(mx["m"] or 0)
+    gstats["wdf_ub_global"] = merge_term_stats(
+        part_files, os.path.join(out_dir, "term_stats"))
     _mark("term_stats", t0)
     metrics["total"] = round(time.perf_counter() - t_start, 3)
     if gstats["n_docs"]:

@@ -524,6 +524,26 @@ def decode_blocks(blocks: pa.Table, codec: str = "varint"
     return doc_ids, tfs, dls, block_of
 
 
+def decode_postings(blocks: pa.Table, codec: str = "varint") -> tuple:
+    """Posting-block rows of one (term-part, doc-bucket) — possibly read
+    from several segments' files, whose doc ranges never overlap — back to
+    flat postings sorted by (term, doc_id), ready for
+    :func:`encode_partition`: the block-table counterpart of
+    :func:`decode_partial_group`, with the same output
+
+        (terms:pa.Array, doc_ids, tfs, dls[, npos, pos_payloads])"""
+    blocks = blocks.take(pc.sort_indices(
+        blocks, sort_keys=[("term", "ascending"),
+                           ("first_doc_id", "ascending")]))
+    ids, tfs, dls, block_of = decode_blocks(blocks, codec)
+    out = [blocks.column("term").take(pa.array(block_of)), ids, tfs, dls]
+    if "npos_enc" in blocks.column_names:
+        npos, pos_bytes, post_ends = position_ranges(blocks)
+        out.append(npos.astype(np.uint64))
+        out.append(_binary_from_seg_ends(pos_bytes, post_ends[1:]))
+    return tuple(out)
+
+
 def _binary_parts(col) -> tuple[np.ndarray, memoryview]:
     """(value_byte_offsets, data) of a Binary column without copying: a
     BinaryArray's values are stored contiguously in index order, so the

@@ -24,6 +24,7 @@ import pyarrow.parquet as pq
 from ..functions.introselect import nth_element
 from .build import term_part
 from .codec import blocks_schema, first_value
+from .update import _tombstone_ids, committed_gen_files, load_segments
 
 _MAXCHAR = "\U0010ffff"
 _STATS_COLS = ("term", "termfreq", "collfreq", "wdf_ub")
@@ -55,19 +56,25 @@ def select_wildcard(stats: dict[str, dict], prefix: str, limit: int = 0,
 
 
 class IndexReader:
+    """A read-only view of an index's COMMITTED state: the segments,
+    ``next_gen`` and global-stats snapshot of ``segments.json`` (the
+    commit point of every update and merge). Tombstones and stat deltas
+    count only for generations below ``next_gen``, so a crashed update's
+    files stay invisible. The view is fixed at construction: open a new
+    reader after an update (a merge retires the segments an older reader
+    lists)."""
+
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
-        with open(os.path.join(index_dir, "global_stats.json")) as f:
-            self.gstats = json.load(f)
+        segs = load_segments(index_dir)
+        self.segments = segs["segments"]
+        self.next_gen = segs["next_gen"]
+        self.gstats = segs.get("global_stats")
+        if self.gstats is None:  # an index written before the snapshot
+            with open(os.path.join(index_dir, "global_stats.json")) as f:
+                self.gstats = json.load(f)
         self.P = int(self.gstats["num_term_parts"])
         self.S = int(self.gstats["num_doc_buckets"])
-        # incremental updates: delta segments + tombstones (index/update.py)
-        seg_file = os.path.join(index_dir, "segments.json")
-        if os.path.exists(seg_file):
-            with open(seg_file) as f:
-                self.segments = json.load(f)["segments"]
-        else:
-            self.segments = ["."]
         self._tombstones = None
 
     @property
@@ -75,8 +82,7 @@ class IndexReader:
         """Sorted uint64 doc_ids of replaced document versions (empty on a
         never-updated index). Loaded lazily, cached."""
         if self._tombstones is None:
-            from .update import _tombstone_ids
-            self._tombstones = _tombstone_ids(self.index_dir)
+            self._tombstones = _tombstone_ids(self.index_dir, self.next_gen)
         return self._tombstones
 
     # -- stats ---------------------------------------------------------------
@@ -156,8 +162,9 @@ class IndexReader:
                 t = pads.dataset(d).to_table(filter=flt, columns=columns)
                 if len(t):
                     tabs.append(t)
-        deltas = os.path.join(self.index_dir, "term_stats_deltas")
-        if os.path.isdir(deltas):
+        deltas = committed_gen_files(os.path.join(
+            self.index_dir, "term_stats_deltas"), self.next_gen)
+        if deltas:
             t = pads.dataset(deltas).to_table(filter=flt, columns=columns)
             if len(t):
                 tabs.append(t)
@@ -272,7 +279,8 @@ class IndexReader:
                 continue
             t = pads.dataset(d).to_table(columns=["doc_id"])
             ids.append(t.column("doc_id").to_numpy().astype(np.uint64))
-        out = np.sort(np.concatenate(ids)) if ids else             np.empty(0, np.uint64)
+        out = np.sort(np.concatenate(ids)) if ids \
+            else np.empty(0, np.uint64)
         ts = self.tombstones
         if len(ts):
             out = out[~np.isin(out, ts)]

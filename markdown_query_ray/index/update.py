@@ -7,19 +7,57 @@ columnar rebuild expresses the same contract as LSM-style delta segments:
     <index>/                      base build (gen 0)
     <index>/updates/gen-0001/     each update = a complete mini-index over
                                   the new/changed docs (same P x S layout)
+    <index>/merged/m-0003/        a merge of consecutive segments
     <index>/tombstones/*.parquet  doc_ids of replaced old versions
     <index>/term_stats_deltas/    NEGATIVE per-term rows for the replaced
                                   docs (computed exactly from their stored
                                   tokenized rows)
-    <index>/segments.json         segment list + next_doc_id
+    <index>/segments.json         the commit point: segment list, per-
+                                  segment doc counts, next_doc_id,
+                                  next_gen and the global stats snapshot
 
 Queries see exact results: the reader unions posting partitions across
 segments, drops tombstoned doc_ids at decode time, and aggregates
 term_stats as base + segments + deltas — termfreq/collfreq are EXACT;
 wdf_ub only ever widens (still a valid WAND upper bound). Global
 n_docs/avg_doclen are recomputed exactly at update time from the replaced
-docs' stored doclens. ``compact()`` folds everything back into one base
-build (the analog of xapian-compact).
+docs' stored doclens. Readers see committed state only: the generations
+below ``next_gen`` and the stats snapshot of ``segments.json``, so a
+crashed update's tombstones, deltas and ``global_stats.json`` stay
+invisible. ``compact()`` folds everything back into one base build (the
+analog of xapian-compact).
+
+Merge policy (size-tiered, as in Lucene's TieredMergePolicy). After each
+update commits, the segments BEFORE the newest one are scanned from the
+back: the run grows by the next older segment while the run's docs are at
+least 1/``MERGE_FACTOR`` of that segment's; a run of two or more merges
+in one pass (the base ``"."`` may take part). A segment's size is the
+number of docs its generations added, dead ones included (a merge's size
+is its inputs' sum), so the tiers follow the write history alone and the
+count stays about log(generations). The newest segment is never an input:
+its directory is the update's own build record. The merge needs no
+shuffle — every segment shares the P x S layout and doc_ids rise by
+segment, so each ``part-k`` merges on its own: decode the inputs'
+blocks, drop the doc_ids tombstoned by committed generations, re-block.
+The merged term stats are the inputs' rows summed (dead docs included);
+the global deltas still subtract the dead, so segments + deltas stay
+exact and no tombstone or delta file is rewritten.
+
+A merge commits in three steps:
+
+1. write ``merged/m-NNNN`` (NNNN = the newest committed generation),
+   cleared first;
+2. swap ``segments.json`` atomically — the commit point;
+3. retire the inputs: delete their data (``_SEGMENT_DATA``); an update
+   generation keeps its build record (``_metrics.json`` and its stats
+   files), a retired merge directory goes whole.
+
+``update_index`` starts by clearing every segment's data that
+``segments.json`` does not list (a crashed merge's output, or inputs it
+did not finish retiring), then re-runs the policy, which redoes a merge
+a crash interrupted and is a no-op otherwise. A reader opened before a
+swap keeps its old segment list and may then hit a retired directory;
+open a new reader (or ``SearchSession``) after an update.
 
 Replaced docs get a NEW doc_id (arrival order of the update), unlike
 Xapian which keeps the old docid — a documented divergence: keeping the id
@@ -31,6 +69,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -40,7 +79,26 @@ import pyarrow.parquet as pq
 
 from .. import checkpoint
 from ..config import IndexConfig
-from .build import TERM_STATS_SCHEMA, build_index
+from .build import (
+    POSTINGS_PARQUET,
+    TERM_STATS_SCHEMA,
+    build_index,
+    merge_term_stats,
+    write_url_map,
+)
+from .codec import decode_postings, encode_partition
+
+# a merge folds a trailing run of segments whose doc counts stay within
+# this factor of the next older one (see the module docstring)
+MERGE_FACTOR = 2
+# below this many bytes of input postings + tokenized files a merge's
+# groups run in a local loop (a Ray stage's fixed scheduling cost exceeds
+# the work); above it, as Ray Data tasks
+_MERGE_DRIVER_BYTES = 64 << 20
+# a segment's data, as opposed to its build record: a merge writes these,
+# retirement deletes them
+_SEGMENT_DATA = ("postings", "term_stats", "term_stats_parts", "tokenized",
+                 "url_map")
 
 
 def _segments_path(index_dir: str) -> str:
@@ -57,18 +115,40 @@ def load_segments(index_dir: str) -> dict:
     return {"segments": ["."], "next_doc_id": g["n_docs"], "next_gen": 1}
 
 
-def _live_url_ids(index_dir: str, segs: dict, urls: list[str],
-                  exclude_gen: int | None = None) -> pa.Table:
+def _parquet_files(d: str) -> list[str]:
+    if not os.path.isdir(d):
+        return []
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
+
+
+def committed_gen_files(d: str, next_gen: int) -> list[str]:
+    """The ``gen-NNNN.parquet`` files of ``d`` (tombstones, stat deltas)
+    whose generation is committed: NNNN < ``next_gen``. A file of the
+    running (or a crashed) generation is never read."""
+    return [f for f in _parquet_files(d)
+            if int(os.path.basename(f)[4:-8]) < next_gen]
+
+
+def _tombstone_ids(index_dir: str, next_gen: int) -> np.ndarray:
+    """Sorted doc_ids tombstoned by the committed generations."""
+    files = committed_gen_files(os.path.join(index_dir, "tombstones"),
+                                next_gen)
+    ids = [pq.read_table(f).column("doc_id").to_numpy().astype(np.uint64)
+           for f in files]
+    return np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
+
+
+def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
     """(doc_id, url, doclen) of LIVE docs among ``urls`` across segments.
     Reads the segment's hash-bucketed url map when present (only the
     buckets the urls fall in — no corpus scan per update); segments built
-    before the url map fall back to a filtered tokenized scan.
-    ``exclude_gen`` ignores that generation's own tombstones — a re-run
-    after a crash mid-commit must recompute the SAME replaced set, not an
-    empty one (its first attempt's tombstones already cover the urls)."""
+    before the url map fall back to a filtered tokenized scan. Only
+    committed tombstones count: a re-run after a crash mid-commit
+    recomputes the SAME replaced set, not an empty one."""
     from .build import url_map_lookup
 
-    ts = _tombstone_ids(index_dir, exclude_gen=exclude_gen)
+    ts = _tombstone_ids(index_dir, segs["next_gen"])
     tabs = []
     for seg in segs["segments"]:
         seg_dir = os.path.join(index_dir, seg)
@@ -91,23 +171,6 @@ def _live_url_ids(index_dir: str, segs: dict, urls: list[str],
         keep = ~np.isin(out.column("doc_id").to_numpy().astype(np.uint64), ts)
         out = out.filter(pa.array(keep))
     return out
-
-
-def _tombstone_ids(index_dir: str,
-                   exclude_gen: int | None = None) -> np.ndarray:
-    d = os.path.join(index_dir, "tombstones")
-    if not os.path.isdir(d):
-        return np.empty(0, np.uint64)
-    skip = f"gen-{exclude_gen:04d}.parquet" if exclude_gen is not None \
-        else None
-    ids = []
-    for f in sorted(os.listdir(d)):
-        if f == skip:
-            continue
-        if f.endswith(".parquet"):
-            ids.append(pq.read_table(os.path.join(d, f))
-                       .column("doc_id").to_numpy().astype(np.uint64))
-    return np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
 
 
 def _empty_deltas() -> pa.Table:
@@ -195,13 +258,7 @@ def _stats_deltas_for(index_dir: str, segs: dict,
     ids_sorted = np.sort(np.asarray(doc_ids, np.uint64))
     files: list[str] = []
     for seg in segs["segments"]:
-        tok = os.path.join(index_dir, seg, "tokenized")
-        if not os.path.isdir(tok):
-            continue
-        for f in sorted(os.listdir(tok)):
-            if not f.endswith(".parquet"):
-                continue
-            p = os.path.join(tok, f)
+        for p in _parquet_files(os.path.join(index_dir, seg, "tokenized")):
             rng = _file_doc_id_range(p)
             if rng is not None:
                 j0 = np.searchsorted(ids_sorted, np.uint64(rng[0]))
@@ -260,9 +317,8 @@ def _load_commit_state(index_dir: str) -> tuple[dict, dict]:
     with open(os.path.join(index_dir, "global_stats.json")) as f:
         g = json.load(f)
     segs = load_segments(index_dir)
-    g = segs.get("global_stats", g)
+    g = segs.setdefault("global_stats", g)
     if not os.path.exists(_segments_path(index_dir)):
-        segs.setdefault("global_stats", g)
         checkpoint.write_text(json.dumps(segs, indent=1),
                               _segments_path(index_dir))
     return g, segs
@@ -281,6 +337,199 @@ def _write_gen_tombstones(index_dir: str, segs: dict, gen: int,
               else _stats_deltas_for(index_dir, segs, old_ids))
     checkpoint.write_table(deltas, os.path.join(
         index_dir, "term_stats_deltas", f"gen-{gen:04d}.parquet"))
+
+
+# ---- segment merging -------------------------------------------------------
+
+def merge_run(sizes: list[int]) -> tuple[int, int] | None:
+    """The size-tiered policy over the doc counts of the segments before
+    the newest one: ``[lo, len(sizes))``, the trailing run to merge, or
+    None. The run starts at the last segment and takes in the next older
+    one while the run's docs are at least 1/``MERGE_FACTOR`` of it."""
+    if len(sizes) < 2:
+        return None
+    lo = len(sizes) - 1
+    acc = sizes[lo]
+    while lo > 0 and acc * MERGE_FACTOR >= sizes[lo - 1]:
+        lo -= 1
+        acc += sizes[lo]
+    return (lo, len(sizes)) if lo < len(sizes) - 1 else None
+
+
+def _segment_docs(index_dir: str, segs: dict, seg: str) -> int:
+    """Docs the segment's generations added, dead ones included. Recorded
+    in ``segments.json`` per update and merge; the base build (or a
+    segment committed before the record existed) counts its tokenized
+    rows from the parquet footers."""
+    n = segs.get("segment_docs", {}).get(seg)
+    if n is None:
+        n = sum(pq.ParquetFile(f).metadata.num_rows for f in
+                _parquet_files(os.path.join(index_dir, seg, "tokenized")))
+    return n
+
+
+def _retire(index_dir: str, seg: str) -> None:
+    """Delete a segment's data. An update generation (and the base) keeps
+    its build record; a merge directory is nothing but data."""
+    d = os.path.join(index_dir, seg)
+    if seg.startswith("merged"):
+        checkpoint.clear_dir(d)
+        return
+    for sub in _SEGMENT_DATA:
+        checkpoint.clear_dir(os.path.join(d, sub))
+
+
+def _clear_orphans(index_dir: str, segs: dict) -> None:
+    """Delete the data of every committed-era segment ``segments.json``
+    does not list: a crashed merge's output, or inputs it did not finish
+    retiring. (An uncommitted generation's directory is the next update's
+    to clear.)"""
+    listed = set(segs["segments"])
+    found = ["."]
+    for sub in ("updates", "merged"):
+        d = os.path.join(index_dir, sub)
+        if os.path.isdir(d):
+            found += [os.path.join(sub, f) for f in sorted(os.listdir(d))]
+    for seg in found:
+        if seg in listed or (seg.startswith("updates")
+                             and int(seg[-4:]) >= segs["next_gen"]):
+            continue
+        _retire(index_dir, seg)
+
+
+def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
+                 out_dir: str, cfg: IndexConfig, docs_per_bucket: int
+                 ) -> int:
+    """Merge one independent group (``item``: kind, key, src) of the
+    input segments into ``out_dir``, dropping ``dead`` doc_ids; returns
+    the rows kept.
+
+    - ``postings``, key k: every input's ``part-k`` decoded, re-blocked
+      with the index's block size and bucket stripe, written with the
+      build's settings (no file when nothing survives, as in a build);
+    - ``tokenized``, key i: input file ``src`` minus the dead rows,
+      sorted by doc_id (the footer pruning of ``_stats_deltas_for`` reads
+      per-file id ranges)."""
+    name = f"part-{item['key']:06d}.parquet"
+    if item["kind"] == "tokenized":
+        t = pq.read_table(item["src"])
+        ids = t.column("doc_id").to_numpy().astype(np.uint64)
+        t = t.filter(pa.array(~np.isin(ids, dead))).sort_by("doc_id")
+        if len(t):
+            checkpoint.write_table(t, os.path.join(out_dir, "tokenized",
+                                                   name))
+        return len(t)
+    tabs = [pq.read_table(p) for p in
+            (os.path.join(d, "postings", name) for d in seg_dirs)
+            if os.path.exists(p)]
+    if not tabs:
+        return 0
+    terms, ids, tfs, dls, *pos = decode_postings(pa.concat_tables(tabs),
+                                                 cfg.codec)
+    keep = ~np.isin(ids, dead)
+    pos_kw = {}
+    if pos:
+        pos_kw = {"npos": pos[0][keep],
+                  "pos_payloads": pos[1].filter(pa.array(keep))}
+    blocks = encode_partition(
+        terms.filter(pa.array(keep)), ids[keep], tfs[keep], dls[keep],
+        block_size=cfg.block_size, codec=cfg.codec,
+        stripe_size=docs_per_bucket if cfg.num_doc_buckets > 1 else None,
+        **pos_kw)
+    if len(blocks):
+        checkpoint.write_table(blocks, os.path.join(out_dir, "postings",
+                                                    name),
+                               **POSTINGS_PARQUET)
+    return int(keep.sum())
+
+
+def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
+                    dead: np.ndarray, g: dict) -> dict:
+    """Write the merge of ``inputs`` (consecutive segments) into
+    ``out_dir``: one independent group per posting partition and per
+    tokenized file — no shuffle — run locally below
+    ``_MERGE_DRIVER_BYTES`` of input and as Ray Data tasks above it (one
+    group function serves both); then the url map from the merged
+    tokenized rows and the inputs' term stats summed. Returns the
+    merge's row counts for its ``_metrics.json``."""
+    cfg = IndexConfig.from_gstats(g)
+    seg_dirs = [os.path.join(index_dir, s) for s in inputs]
+    tok_files = [f for d in seg_dirs
+                 for f in _parquet_files(os.path.join(d, "tokenized"))]
+    items = [{"kind": "postings", "key": k, "src": ""}
+             for k in range(cfg.num_term_parts * cfg.num_doc_buckets)]
+    items += [{"kind": "tokenized", "key": i, "src": f}
+              for i, f in enumerate(tok_files)]
+    common = (seg_dirs, out_dir, cfg, int(g["docs_per_bucket"]))
+    in_bytes = sum(os.path.getsize(f) for d in seg_dirs for f in
+                   _parquet_files(os.path.join(d, "postings")) + tok_files)
+    if in_bytes <= _MERGE_DRIVER_BYTES:
+        kept = [(it["kind"], _merge_group(it, dead, *common))
+                for it in items]
+    else:
+        import ray
+        import ray.data
+
+        dead_ref = ray.put(dead)  # ship the id set once, not per task
+
+        def per_item(batch: pa.Table) -> pa.Table:
+            import ray as _ray
+            d = _ray.get(dead_ref)
+            return pa.table({"kind": batch.column("kind"), "kept": pa.array(
+                [_merge_group(it, d, *common) for it in batch.to_pylist()],
+                pa.int64())})
+
+        rows = ray.data.from_items(items).map_batches(
+            per_item, batch_format="pyarrow").take_all()
+        kept = [(r["kind"], r["kept"]) for r in rows]
+    tok_dir = os.path.join(out_dir, "tokenized")
+    schema = pq.read_schema(tok_files[0])
+    if not _parquet_files(tok_dir):
+        # every doc dead: a 0-row file keeps the docs table readable
+        checkpoint.write_table(schema.empty_table(),
+                               os.path.join(tok_dir, checkpoint.EMPTY_FILE))
+    if "url" in schema.names:
+        write_url_map(out_dir)
+    merge_term_stats(
+        [f for d in seg_dirs
+         for f in _parquet_files(os.path.join(d, "term_stats"))],
+        os.path.join(out_dir, "term_stats"))
+    return {f"{kind}_rows_out": sum(n for k, n in kept if k == kind)
+            for kind in ("postings", "tokenized")}
+
+
+def _merge_tail(index_dir: str, segs: dict) -> dict:
+    """Apply the merge policy to the committed state ``segs``: when it
+    picks a run, write the merged segment, swap ``segments.json`` and
+    retire the inputs (the three commit steps of the module docstring).
+    Returns the committed state after it. A no-op on its own output, so
+    a re-run only redoes a merge a crash interrupted."""
+    cand = segs["segments"][:-1]
+    run = merge_run([_segment_docs(index_dir, segs, s) for s in cand])
+    if run is None:
+        return segs
+    lo, hi = run
+    inputs = cand[lo:hi]
+    rel = os.path.join("merged", f"m-{segs['next_gen'] - 1:04d}")
+    t0 = time.perf_counter()
+    out_dir = os.path.join(index_dir, rel)
+    checkpoint.clear_dir(out_dir)
+    counts = _merge_segments(index_dir, inputs, out_dir,
+                             _tombstone_ids(index_dir, segs["next_gen"]),
+                             segs["global_stats"])
+    checkpoint.write_text(json.dumps({
+        "merge_s": round(time.perf_counter() - t0, 3),
+        "merge_inputs": len(inputs), **counts}, indent=1),
+        os.path.join(out_dir, "_metrics.json"))
+    docs = {s: _segment_docs(index_dir, segs, s) for s in segs["segments"]}
+    docs[rel] = sum(docs.pop(s) for s in inputs)
+    segs = dict(segs, segments=segs["segments"][:lo] + [rel]
+                + segs["segments"][hi:], segment_docs=docs)
+    checkpoint.write_text(json.dumps(segs, indent=1),
+                          _segments_path(index_dir))
+    for s in inputs:
+        _retire(index_dir, s)
+    return segs
 
 
 def update_index(index_dir: str,
@@ -318,6 +567,8 @@ def update_index(index_dir: str,
         raise ValueError(f"stats_mode must be 'exact' or 'stale', "
                          f"got {stats_mode!r}")
     g, segs = _load_commit_state(index_dir)
+    _clear_orphans(index_dir, segs)
+    segs = _merge_tail(index_dir, segs)
     cfg = cfg or IndexConfig.from_gstats(g)
     gen = segs["next_gen"]
     seg_rel = os.path.join("updates", f"gen-{gen:04d}")
@@ -345,7 +596,7 @@ def update_index(index_dir: str,
     # ---- tombstone replaced urls + exact stat deltas -----------------------
     new_tok = pads.dataset(os.path.join(seg_dir, "tokenized"))
     new_urls = new_tok.to_table(columns=["url"]).column("url").to_pylist()
-    old = _live_url_ids(index_dir, segs, new_urls, exclude_gen=gen)
+    old = _live_url_ids(index_dir, segs, new_urls)
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
     _write_gen_tombstones(index_dir, segs, gen, old_ids, stats_mode)
 
@@ -369,11 +620,13 @@ def update_index(index_dir: str,
                           os.path.join(index_dir, "global_stats.json"))
 
     segs["segments"].append(seg_rel)
+    segs.setdefault("segment_docs", {})[seg_rel] = gseg["n_docs"]
     segs["next_doc_id"] = segs["next_doc_id"] + gseg["n_docs"]
     segs["next_gen"] = gen + 1
     segs["global_stats"] = g  # snapshot travels with the commit point
     checkpoint.write_text(json.dumps(segs, indent=1),
                           _segments_path(index_dir))
+    _merge_tail(index_dir, segs)
     return g
 
 
@@ -389,8 +642,8 @@ def delete_documents(index_dir: str, urls: list[str],
     global n_docs/avg_doclen update exactly from the deleted docs'
     stored doclens. ``segments.json`` stays the atomic commit point:
     a crash after the tombstone write but before the commit re-runs
-    the SAME generation and recomputes the same set (its own gen's
-    tombstones are excluded from the live lookup). Returns the updated
+    the SAME generation and recomputes the same set (an uncommitted
+    generation's tombstones never count). Returns the updated
     global stats. Deleting urls that don't exist (or were already
     deleted) is a no-op that still consumes a generation.
 
@@ -403,7 +656,7 @@ def delete_documents(index_dir: str, urls: list[str],
     g, segs = _load_commit_state(index_dir)
     gen = segs["next_gen"]
 
-    old = _live_url_ids(index_dir, segs, list(urls), exclude_gen=gen)
+    old = _live_url_ids(index_dir, segs, list(urls))
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
     _write_gen_tombstones(index_dir, segs, gen, old_ids, stats_mode)
 
@@ -435,7 +688,7 @@ def compact(index_dir: str, out_dir: str,
         g = json.load(f)
     cfg = cfg or IndexConfig.from_gstats(g)
     segs = load_segments(index_dir)
-    ts = _tombstone_ids(index_dir)
+    ts = _tombstone_ids(index_dir, segs["next_gen"])
 
     import ray.data
 

@@ -56,7 +56,9 @@ def test_update_and_compact(corpus, tmp_path, capsys):
     pq.write_table(upd, up)
     rc = main(["update", idx, "--pages", up])
     assert rc == 0
-    assert '"n_docs": 201' in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert '"n_docs": 201' in out
+    assert '"segments": 2' in out  # base + the update, nothing to merge
 
     rc = main(["query", idx, "qqbrandnew"])
     assert rc == 0

@@ -216,6 +216,32 @@ def test_update_crash_before_commit_is_idempotent(base_index, tmp_path):
     assert _search_ids(idx, "alpha") == (set(range(20)) - {3}) | {20}
 
 
+def test_reader_sees_committed_generations_only(base_index, tmp_path):
+    """In the crash state above (an update replacing u3 wrote its segment,
+    tombstones, deltas and global_stats.json, but segments.json was never
+    swapped) readers answer from the committed index: doc 3 still matches,
+    n_docs and termfreq count the 20 committed docs."""
+    import ray.data
+
+    idx, rows = base_index
+    seg_path = os.path.join(idx, "segments.json")
+    pre_segments = open(seg_path).read()
+    p = str(tmp_path / "upd.parquet")
+    _pages([("u3", "alpha delta replaced"), ("u100", "delta newcomer")],
+           p, base_id=20)
+    update_index(idx, dataset=ray.data.read_parquet(p))
+    with open(seg_path, "w") as f:  # rewind the commit point
+        f.write(pre_segments)
+
+    assert _search_ids(idx, "alpha") == set(range(20))
+    assert _search_ids(idx, "delta") == set()
+    r = IndexReader(idx)
+    assert r.n_docs == 20
+    assert len(r.tombstones) == 0
+    assert r.term_stats(["alpha"])["alpha"]["termfreq"] == 20
+    assert r.term_stats(["gamma"])["gamma"]["termfreq"] == 10
+
+
 def test_crashed_segment_with_different_input_not_reused(base_index,
                                                          tmp_path):
     """If update A crashes before commit and the user instead runs update B
