@@ -85,11 +85,13 @@ def clear_dir(d: str) -> None:
     shutil.rmtree(d, ignore_errors=True)
 
 
-def write_dataset(ds, d: str, schema: pa.Schema | None = None) -> None:
-    """``ds.write_parquet(d)`` into a cleared ``d``; when ``schema`` is
-    given and Ray wrote no file (empty dataset), pin a 0-row file of it."""
+def write_dataset(ds, d: str, schema: pa.Schema | None = None,
+                  **parquet_kw) -> None:
+    """``ds.write_parquet(d, **parquet_kw)`` into a cleared ``d``; when
+    ``schema`` is given and Ray wrote no file (empty dataset), pin a 0-row
+    file of it."""
     clear_dir(d)
-    ds.write_parquet(d)
+    ds.write_parquet(d, **parquet_kw)
     if schema is not None and not (
             os.path.isdir(d)
             and any(f.endswith(".parquet") for f in os.listdir(d))):

@@ -189,6 +189,12 @@ URL_MAP_DRIVER_ROWS = 100_000
 # this the merge runs as a distributed Ray groupby, so a trillion-doc
 # term dictionary never has to fit on the driver
 TERM_STATS_DRIVER_ROWS = 2_000_000
+# rows per row group of every term_stats file (both legs of
+# merge_term_stats): the reader reads only the groups whose footer
+# [min, max] term range can hold the query's terms, so small groups read
+# few rows. On a refresh-shaped index, cold lookups took 6.7 ms per call
+# at 1,024 rows against 11.0 at 4,096, for 9% more stats bytes
+TERM_STATS_ROW_GROUP = 1024
 # parquet settings of every postings/part-*.parquet: small row groups so
 # the reader's term filter prunes, the term column dictionary-encoded
 POSTINGS_PARQUET = {"row_group_size": 4096, "use_dictionary": ["term"]}
@@ -307,19 +313,24 @@ def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
     })
 
 
-def merge_term_stats(files: list[str], ts_dir: str) -> int:
-    """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files) into
-    ``ts_dir``: per term, the sum of termfreq and collfreq and the max of
-    wdf_ub, sorted by term. Returns the max wdf_ub — the glass version-file
-    wdf_ubound analog (glass_version.h:260-262), input to the per-term
-    xapian wdf bound. Small folds run driver-side as one Arrow groupby;
-    past TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a trillion-doc term
-    dictionary never has to fit on the driver."""
+def merge_term_stats(files: list[str], ts_dir: str,
+                     extra: pa.Table | None = None) -> int:
+    """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files, plus
+    the in-memory ``extra`` rows) into ``ts_dir``: per term, the sum of
+    termfreq and collfreq and the max of wdf_ub, sorted by term, in row
+    groups of ``TERM_STATS_ROW_GROUP``. Returns the max wdf_ub — the glass
+    version-file wdf_ubound analog (glass_version.h:260-262), input to the
+    per-term xapian wdf bound. Small folds run driver-side as one Arrow
+    groupby; past TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a
+    trillion-doc term dictionary never has to fit on the driver."""
     checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
     rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    rows += 0 if extra is None else len(extra)
     if rows <= TERM_STATS_DRIVER_ROWS:
-        tbl = pq.ParquetDataset(files).read() if files \
-            else TERM_STATS_SCHEMA.empty_table()
+        tabs = [pq.ParquetDataset(files).read()] if files else []
+        tabs += [] if extra is None else [extra]
+        tbl = pa.concat_tables(t.cast(TERM_STATS_SCHEMA) for t in tabs) \
+            if tabs else TERM_STATS_SCHEMA.empty_table()
         agg = pa.TableGroupBy(tbl, "term").aggregate(
             [("termfreq", "sum"), ("collfreq", "sum"), ("wdf_ub", "max")])
         merged = pa.table({
@@ -332,18 +343,22 @@ def merge_term_stats(files: list[str], ts_dir: str) -> int:
             merged, sort_keys=[("term", "ascending")]))
         checkpoint.write_table(
             merged, os.path.join(ts_dir, "part-000000.parquet"),
-            row_group_size=1 << 16)
+            row_group_size=TERM_STATS_ROW_GROUP)
         return int(pc.max(merged.column("wdf_ub")).as_py() or 0)
     import ray.data
     from ray.data.aggregate import Max, Sum
 
+    ds = ray.data.read_parquet(files) if files else None
+    if extra is not None:
+        ex = ray.data.from_arrow(extra.cast(TERM_STATS_SCHEMA))
+        ds = ex if ds is None else ds.union(ex)
     checkpoint.write_dataset(
-        ray.data.read_parquet(files).groupby("term").aggregate(
+        ds.groupby("term").aggregate(
             Sum("termfreq", alias_name="termfreq"),
             Sum("collfreq", alias_name="collfreq"),
-            Max("wdf_ub", alias_name="wdf_ub")), ts_dir)
-    mx = ray.data.read_parquet(files).aggregate(
-        Max("wdf_ub", alias_name="m"))
+            Max("wdf_ub", alias_name="wdf_ub")), ts_dir,
+        row_group_size=TERM_STATS_ROW_GROUP)
+    mx = ds.aggregate(Max("wdf_ub", alias_name="m"))
     return int(mx["m"] or 0)
 
 

@@ -2,9 +2,16 @@
 
 The analog of the reference's read-only ``Database::new_with_path``
 (src/main.rs:115,130), but columnar: global stats from JSON, per-term stats
-and posting blocks from parquet with predicate pushdown (terms are
-dictionary-encoded and files are sorted by term, so row-group statistics
-prune reads to the query's terms).
+and posting blocks from parquet. Both are sorted by term, so row-group
+statistics prune reads to the query's terms: a stats lookup reads each
+file's footer and then only the row groups whose [min, max] term range
+can hold a query term or a wildcard prefix's range; posting reads push
+the term filter down.
+
+An updated index's dead-doc state is one fold (``index/update.py``): one
+per-term delta file and one sorted dead-id file, named by
+``segments.json``. A cold lookup opens one stats file per segment plus
+the fold's, however many generations ran.
 
 Partition pruning: a query touching terms T and doc-bucket b needs only the
 files ``part-{fnv1a64(t) % P * S + b}`` — the scorer never lists, let alone
@@ -15,8 +22,10 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -24,7 +33,7 @@ import pyarrow.parquet as pq
 from ..functions.introselect import nth_element
 from .build import term_part
 from .codec import blocks_schema, first_value
-from .update import _tombstone_ids, committed_gen_files, load_segments
+from .update import _parquet_files, dead_ids, fold_stats_files, load_segments
 
 _MAXCHAR = "\U0010ffff"
 _STATS_COLS = ("term", "termfreq", "collfreq", "wdf_ub")
@@ -55,20 +64,43 @@ def select_wildcard(stats: dict[str, dict], prefix: str, limit: int = 0,
     return terms[:limit] if limit else terms
 
 
+def _stats_rows(path: str, terms: list[str] | None, prefixes: list[str]):
+    """The row groups of one term_stats file that can hold the sorted
+    ``terms`` or a term under ``prefixes`` (``terms=None``: the whole
+    file), read with ``_STATS_COLS``. Reads the footer, then only the groups whose [min, max] term range overlaps a
+    term or a ``[p, p + U+10FFFF]`` range. A group without statistics is
+    read, so only the pruning, never the answer, rests on the file's sort
+    order."""
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    col = md.schema.names.index("term")
+    groups = []
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(col).statistics
+        if terms is not None and st is not None and st.has_min_max:
+            lo, hi = st.min, st.max
+            j = bisect_left(terms, lo)
+            if not ((j < len(terms) and terms[j] <= hi) or any(
+                    p <= hi and lo <= p + _MAXCHAR for p in prefixes)):
+                continue
+        groups.append(i)
+    return pf.read_row_groups(groups, columns=list(_STATS_COLS))
+
+
 class IndexReader:
-    """A read-only view of an index's COMMITTED state: the segments,
-    ``next_gen`` and global-stats snapshot of ``segments.json`` (the
-    commit point of every update and merge). Tombstones and stat deltas
-    count only for generations below ``next_gen``, so a crashed update's
-    files stay invisible. The view is fixed at construction: open a new
-    reader after an update (a merge retires the segments an older reader
-    lists)."""
+    """A read-only view of an index's COMMITTED state: the segments, fold
+    and global-stats snapshot of ``segments.json`` (the commit point of
+    every update and merge). Dead doc_ids and stat deltas come only from
+    the fold it names, so a crashed update's files stay invisible. The
+    view is fixed at construction: open a new reader after an update (a
+    commit deletes the fold, and a merge retires the segments, an older
+    reader names)."""
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
         segs = load_segments(index_dir)
         self.segments = segs["segments"]
-        self.next_gen = segs["next_gen"]
+        self.fold = segs.get("fold")
         self.gstats = segs.get("global_stats")
         if self.gstats is None:  # an index written before the snapshot
             with open(os.path.join(index_dir, "global_stats.json")) as f:
@@ -79,10 +111,11 @@ class IndexReader:
 
     @property
     def tombstones(self):
-        """Sorted uint64 doc_ids of replaced document versions (empty on a
-        never-updated index). Loaded lazily, cached."""
+        """Sorted uint64 doc_ids of replaced and deleted document versions,
+        the fold's (empty on a never-updated index). Loaded lazily,
+        cached."""
         if self._tombstones is None:
-            self._tombstones = _tombstone_ids(self.index_dir, self.next_gen)
+            self._tombstones = dead_ids(self.index_dir, self.fold)
         return self._tombstones
 
     # -- stats ---------------------------------------------------------------
@@ -154,49 +187,52 @@ class IndexReader:
     def has_positions(self) -> bool:
         return bool(self.gstats.get("positions", False))
 
-    def _stats_tables(self, flt, columns=None):
-        tabs = []
-        for seg in self.segments:
-            d = os.path.join(self.index_dir, seg, "term_stats")
-            if os.path.isdir(d):
-                t = pads.dataset(d).to_table(filter=flt, columns=columns)
-                if len(t):
-                    tabs.append(t)
-        deltas = committed_gen_files(os.path.join(
-            self.index_dir, "term_stats_deltas"), self.next_gen)
-        if deltas:
-            t = pads.dataset(deltas).to_table(filter=flt, columns=columns)
-            if len(t):
-                tabs.append(t)
-        return tabs
+    def _dictionary(self, terms: list[str] | None, prefixes: list[str]
+                    ) -> dict[str, dict]:
+        """Segment stats and the fold's deltas summed per term, for
+        ``terms`` and ``prefixes`` as in ``_stats_rows``; dead terms
+        omitted."""
+        files = [f for seg in self.segments for f in _parquet_files(
+            os.path.join(self.index_dir, seg, "term_stats"))]
+        files += fold_stats_files(self.index_dir, self.fold)
+        if not files:
+            return {}
+        t = pa.concat_tables(_stats_rows(f, terms, prefixes) for f in files)
+        if terms is not None:
+            term = t.column("term")
+            keep = pc.is_in(term, value_set=pa.array(terms, pa.string()))
+            for p in prefixes:
+                keep = pc.or_(keep, pc.and_(
+                    pc.greater_equal(term, p),
+                    pc.less_equal(term, p + _MAXCHAR)))
+            t = t.filter(keep)
+        out: dict[str, list[int]] = {}
+        for term, tf, cf, wub in zip(
+                *(t.column(c).to_pylist() for c in _STATS_COLS)):
+            cur = out.setdefault(term, [0, 0, 0])
+            cur[0] += int(tf)
+            cur[1] += int(cf)
+            cur[2] = max(cur[2], int(wub))
+        return {k: {"termfreq": tf, "collfreq": cf, "wdf_ub": wub}
+                for k, (tf, cf, wub) in out.items() if tf > 0}
 
     def term_stats(self, terms: list[str], prefixes: list[str] = ()
                    ) -> dict[str, dict]:
         """{term: {termfreq, collfreq, wdf_ub}} for the given terms and, in
         the same read, for every term under each of ``prefixes`` (absent
-        and dead terms omitted). One predicate-pushdown read of the
-        term_stats dataset; on an updated index, segment stats and the
-        negative deltas of replaced docs sum to EXACT termfreq/collfreq
-        (wdf_ub only widens — still a valid WAND bound)."""
-        terms = list(set(terms))
-        flt = pc.field("term").isin(terms) if terms else None
-        for p in sorted(set(prefixes)):
-            # a prefix range scan: term >= prefix AND term <= prefix+MAXCHAR
-            rng = ((pc.field("term") >= p)
-                   & (pc.field("term") <= p + _MAXCHAR))
-            flt = rng if flt is None else flt | rng
-        if flt is None:
+        and dead terms omitted). Each stats file is read only in the row
+        groups its footer says can hold them; on an updated index,
+        segment stats and the fold's negative deltas of replaced docs sum
+        to EXACT termfreq/collfreq (wdf_ub only widens — still a valid
+        WAND bound)."""
+        if not terms and not prefixes:
             return {}
-        out: dict[str, list[int]] = {}
-        for t in self._stats_tables(flt, columns=list(_STATS_COLS)):
-            for term, tf, cf, wub in zip(
-                    *(t.column(c).to_pylist() for c in _STATS_COLS)):
-                cur = out.setdefault(term, [0, 0, 0])
-                cur[0] += int(tf)
-                cur[1] += int(cf)
-                cur[2] = max(cur[2], int(wub))
-        return {k: {"termfreq": tf, "collfreq": cf, "wdf_ub": wub}
-                for k, (tf, cf, wub) in out.items() if tf > 0}
+        return self._dictionary(sorted(set(terms)), sorted(set(prefixes)))
+
+    def all_term_stats(self) -> dict[str, dict]:
+        """``term_stats`` of every live term: the whole committed
+        dictionary, segments plus fold."""
+        return self._dictionary(None, [])
 
     def term_exists(self, term: str) -> bool:
         """Does the (unstemmed, lowercased) term occur in the live index?

@@ -8,24 +8,43 @@ columnar rebuild expresses the same contract as LSM-style delta segments:
     <index>/updates/gen-0001/     each update = a complete mini-index over
                                   the new/changed docs (same P x S layout)
     <index>/merged/m-0003/        a merge of consecutive segments
-    <index>/tombstones/*.parquet  doc_ids of replaced old versions
-    <index>/term_stats_deltas/    NEGATIVE per-term rows for the replaced
-                                  docs (computed exactly from their stored
-                                  tokenized rows)
+    <index>/folds/f-0004/         the fold: every committed generation's
+                                  dead-doc state in one place —
+                                  term_stats/ sums their NEGATIVE per-term
+                                  rows for the replaced docs (computed
+                                  exactly from their stored tokenized
+                                  rows), dead.parquet holds their doc_ids,
+                                  sorted
+    <index>/tombstones/*.parquet  each generation's dead doc_ids: a
+                                  write-only record, never read back
     <index>/segments.json         the commit point: segment list, per-
-                                  segment doc counts, next_doc_id,
+                                  segment doc counts, the fold, next_doc_id,
                                   next_gen and the global stats snapshot
 
 Queries see exact results: the reader unions posting partitions across
-segments, drops tombstoned doc_ids at decode time, and aggregates
-term_stats as base + segments + deltas — termfreq/collfreq are EXACT;
-wdf_ub only ever widens (still a valid WAND upper bound). Global
-n_docs/avg_doclen are recomputed exactly at update time from the replaced
-docs' stored doclens. Readers see committed state only: the generations
-below ``next_gen`` and the stats snapshot of ``segments.json``, so a
-crashed update's tombstones, deltas and ``global_stats.json`` stay
-invisible. ``compact()`` folds everything back into one base build (the
-analog of xapian-compact).
+segments, drops the fold's dead doc_ids at decode time, and aggregates
+term_stats as segments + fold — termfreq/collfreq are EXACT; wdf_ub only
+ever widens (still a valid WAND upper bound). Global n_docs/avg_doclen
+are recomputed exactly at update time from the replaced docs' stored
+doclens. Readers see committed state only: the segments, fold and stats
+snapshot ``segments.json`` names, so a crashed update's segment, fold and
+``global_stats.json`` stay invisible. ``compact()`` folds everything back
+into one base build (the analog of xapian-compact).
+
+Each update or delete commits in three steps:
+
+1. write the generation's record ``tombstones/gen-NNNN.parquet`` and its
+   fold ``folds/f-NNNN`` = the committed fold + this generation: its
+   deltas summed into the fold's per-term rows (``merge_term_stats``),
+   its dead ids unioned into the fold's;
+2. swap ``segments.json`` atomically — the commit point, naming the new
+   fold;
+3. delete the previous fold.
+
+A reader therefore opens one stats file per segment plus the fold's two
+files, however many generations ran. Every update and delete starts by
+deleting the fold ``segments.json`` does not name (a crashed attempt's,
+or one step 3 did not finish), so after a commit exactly one is on disk.
 
 Merge policy (size-tiered, as in Lucene's TieredMergePolicy). After each
 update commits, the segments BEFORE the newest one are scanned from the
@@ -38,10 +57,10 @@ count stays about log(generations). The newest segment is never an input:
 its directory is the update's own build record. The merge needs no
 shuffle — every segment shares the P x S layout and doc_ids rise by
 segment, so each ``part-k`` merges on its own: decode the inputs'
-blocks, drop the doc_ids tombstoned by committed generations, re-block.
-The merged term stats are the inputs' rows summed (dead docs included);
-the global deltas still subtract the dead, so segments + deltas stay
-exact and no tombstone or delta file is rewritten.
+blocks, drop the fold's dead doc_ids, re-block. The merged term stats
+are the inputs' rows summed (dead docs included); the fold still
+subtracts the dead, so segments + fold stay exact and a merge leaves the
+fold as it is.
 
 A merge commits in three steps:
 
@@ -56,8 +75,8 @@ A merge commits in three steps:
 ``segments.json`` does not list (a crashed merge's output, or inputs it
 did not finish retiring), then re-runs the policy, which redoes a merge
 a crash interrupted and is a no-op otherwise. A reader opened before a
-swap keeps its old segment list and may then hit a retired directory;
-open a new reader (or ``SearchSession``) after an update.
+swap keeps its old segment list and fold and may then hit a deleted
+directory; open a new reader (or ``SearchSession``) after an update.
 
 Replaced docs get a NEW doc_id (arrival order of the update), unlike
 Xapian which keeps the old docid — a documented divergence: keeping the id
@@ -99,6 +118,8 @@ _MERGE_DRIVER_BYTES = 64 << 20
 # retirement deletes them
 _SEGMENT_DATA = ("postings", "term_stats", "term_stats_parts", "tokenized",
                  "url_map")
+# the fold's sorted dead doc_ids, beside its term_stats/ directory
+_FOLD_DEAD = "dead.parquet"
 
 
 def _segments_path(index_dir: str) -> str:
@@ -122,33 +143,32 @@ def _parquet_files(d: str) -> list[str]:
             if f.endswith(".parquet")]
 
 
-def committed_gen_files(d: str, next_gen: int) -> list[str]:
-    """The ``gen-NNNN.parquet`` files of ``d`` (tombstones, stat deltas)
-    whose generation is committed: NNNN < ``next_gen``. A file of the
-    running (or a crashed) generation is never read."""
-    return [f for f in _parquet_files(d)
-            if int(os.path.basename(f)[4:-8]) < next_gen]
+def dead_ids(index_dir: str, fold: str | None) -> np.ndarray:
+    """Sorted doc_ids of the dead document versions in the committed fold
+    ``fold`` (``segments.json``'s ``"fold"``; None before any update)."""
+    if fold is None:
+        return np.empty(0, np.uint64)
+    t = pq.ParquetFile(os.path.join(index_dir, fold, _FOLD_DEAD)).read()
+    return t.column("doc_id").to_numpy().astype(np.uint64)
 
 
-def _tombstone_ids(index_dir: str, next_gen: int) -> np.ndarray:
-    """Sorted doc_ids tombstoned by the committed generations."""
-    files = committed_gen_files(os.path.join(index_dir, "tombstones"),
-                                next_gen)
-    ids = [pq.read_table(f).column("doc_id").to_numpy().astype(np.uint64)
-           for f in files]
-    return np.sort(np.concatenate(ids)) if ids else np.empty(0, np.uint64)
+def fold_stats_files(index_dir: str, fold: str | None) -> list[str]:
+    """The committed fold's per-term delta files (none before any
+    update)."""
+    return [] if fold is None else _parquet_files(
+        os.path.join(index_dir, fold, "term_stats"))
 
 
 def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
     """(doc_id, url, doclen) of LIVE docs among ``urls`` across segments.
     Reads the segment's hash-bucketed url map when present (only the
     buckets the urls fall in — no corpus scan per update); segments built
-    before the url map fall back to a filtered tokenized scan. Only
-    committed tombstones count: a re-run after a crash mid-commit
+    before the url map fall back to a filtered tokenized scan. Only the
+    committed fold's dead ids count: a re-run after a crash mid-commit
     recomputes the SAME replaced set, not an empty one."""
     from .build import url_map_lookup
 
-    ts = _tombstone_ids(index_dir, segs["next_gen"])
+    ts = dead_ids(index_dir, segs.get("fold"))
     tabs = []
     for seg in segs["segments"]:
         seg_dir = os.path.join(index_dir, seg)
@@ -324,19 +344,35 @@ def _load_commit_state(index_dir: str) -> tuple[dict, dict]:
     return g, segs
 
 
-def _write_gen_tombstones(index_dir: str, segs: dict, gen: int,
-                          old_ids: np.ndarray, stats_mode: str) -> None:
-    """Write generation ``gen``'s tombstone ids + per-term stat deltas
-    (NEGATIVE rows keeping termfreq/collfreq exact, or empty in
-    ``"stale"`` mode — deferred to compaction). Atomic per file; safe
-    to re-run for the same generation."""
+def _write_fold(index_dir: str, segs: dict, gen: int, old_ids: np.ndarray,
+                stats_mode: str) -> str:
+    """Write generation ``gen``'s record and fold (commit step 1 of the
+    module docstring) over the committed state ``segs``; returns the
+    fold's name. The fold's stats are the committed fold's rows plus the
+    NEGATIVE per-term deltas of ``old_ids`` (none in ``"stale"`` mode —
+    deferred to compaction), its dead ids the union of both. Atomic per
+    file; a re-run of the same generation rewrites the same files."""
     checkpoint.write_table(pa.table({"doc_id": pa.array(old_ids)}),
                            os.path.join(index_dir, "tombstones",
                                         f"gen-{gen:04d}.parquet"))
-    deltas = (_empty_deltas() if stats_mode == "stale"
+    prev = segs.get("fold")
+    rel = os.path.join("folds", f"f-{gen:04d}")
+    deltas = (None if stats_mode == "stale"
               else _stats_deltas_for(index_dir, segs, old_ids))
-    checkpoint.write_table(deltas, os.path.join(
-        index_dir, "term_stats_deltas", f"gen-{gen:04d}.parquet"))
+    merge_term_stats(fold_stats_files(index_dir, prev),
+                     os.path.join(index_dir, rel, "term_stats"), deltas)
+    dead = np.union1d(dead_ids(index_dir, prev), old_ids)
+    checkpoint.write_table(pa.table({"doc_id": pa.array(dead, pa.uint64())}),
+                           os.path.join(index_dir, rel, _FOLD_DEAD))
+    return rel
+
+
+def _clear_folds(index_dir: str, segs: dict) -> None:
+    """Delete every fold ``segs`` does not name."""
+    d = os.path.join(index_dir, "folds")
+    for f in sorted(os.listdir(d)) if os.path.isdir(d) else []:
+        if os.path.join("folds", f) != segs.get("fold"):
+            checkpoint.clear_dir(os.path.join(d, f))
 
 
 # ---- segment merging -------------------------------------------------------
@@ -381,9 +417,9 @@ def _retire(index_dir: str, seg: str) -> None:
 
 def _clear_orphans(index_dir: str, segs: dict) -> None:
     """Delete the data of every committed-era segment ``segments.json``
-    does not list: a crashed merge's output, or inputs it did not finish
-    retiring. (An uncommitted generation's directory is the next update's
-    to clear.)"""
+    does not list (a crashed merge's output, or inputs it did not finish
+    retiring) and every fold it does not name. (An uncommitted
+    generation's directory is the next update's to clear.)"""
     listed = set(segs["segments"])
     found = ["."]
     for sub in ("updates", "merged"):
@@ -395,6 +431,7 @@ def _clear_orphans(index_dir: str, segs: dict) -> None:
                              and int(seg[-4:]) >= segs["next_gen"]):
             continue
         _retire(index_dir, seg)
+    _clear_folds(index_dir, segs)
 
 
 def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
@@ -515,7 +552,7 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
     out_dir = os.path.join(index_dir, rel)
     checkpoint.clear_dir(out_dir)
     counts = _merge_segments(index_dir, inputs, out_dir,
-                             _tombstone_ids(index_dir, segs["next_gen"]),
+                             dead_ids(index_dir, segs.get("fold")),
                              segs["global_stats"])
     checkpoint.write_text(json.dumps({
         "merge_s": round(time.perf_counter() - t0, 3),
@@ -593,12 +630,12 @@ def update_index(index_dir: str,
     gseg = build_index(seg_dir, dataset=dataset, cfg=cfg,
                        id_base=segs["next_doc_id"])
 
-    # ---- tombstone replaced urls + exact stat deltas -----------------------
+    # ---- tombstone replaced urls + exact stat deltas, into the fold --------
     new_tok = pads.dataset(os.path.join(seg_dir, "tokenized"))
     new_urls = new_tok.to_table(columns=["url"]).column("url").to_pylist()
     old = _live_url_ids(index_dir, segs, new_urls)
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
-    _write_gen_tombstones(index_dir, segs, gen, old_ids, stats_mode)
+    fold = _write_fold(index_dir, segs, gen, old_ids, stats_mode)
 
     # ---- exact merged global stats -----------------------------------------
     removed_doclen = int(pc.sum(old.column("doclen")).as_py() or 0)
@@ -623,9 +660,11 @@ def update_index(index_dir: str,
     segs.setdefault("segment_docs", {})[seg_rel] = gseg["n_docs"]
     segs["next_doc_id"] = segs["next_doc_id"] + gseg["n_docs"]
     segs["next_gen"] = gen + 1
+    segs["fold"] = fold
     segs["global_stats"] = g  # snapshot travels with the commit point
     checkpoint.write_text(json.dumps(segs, indent=1),
                           _segments_path(index_dir))
+    _clear_folds(index_dir, segs)
     _merge_tail(index_dir, segs)
     return g
 
@@ -641,9 +680,9 @@ def delete_documents(index_dir: str, urls: list[str],
     defers them to compaction, same contract as update_index), and
     global n_docs/avg_doclen update exactly from the deleted docs'
     stored doclens. ``segments.json`` stays the atomic commit point:
-    a crash after the tombstone write but before the commit re-runs
-    the SAME generation and recomputes the same set (an uncommitted
-    generation's tombstones never count). Returns the updated
+    a crash after the fold write but before the commit re-runs the
+    SAME generation and recomputes the same set (an uncommitted
+    generation's fold is never read). Returns the updated
     global stats. Deleting urls that don't exist (or were already
     deleted) is a no-op that still consumes a generation.
 
@@ -654,11 +693,12 @@ def delete_documents(index_dir: str, urls: list[str],
         raise ValueError(f"stats_mode must be 'exact' or 'stale', "
                          f"got {stats_mode!r}")
     g, segs = _load_commit_state(index_dir)
+    _clear_orphans(index_dir, segs)
     gen = segs["next_gen"]
 
     old = _live_url_ids(index_dir, segs, list(urls))
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
-    _write_gen_tombstones(index_dir, segs, gen, old_ids, stats_mode)
+    fold = _write_fold(index_dir, segs, gen, old_ids, stats_mode)
 
     removed_doclen = int(pc.sum(old.column("doclen")).as_py() or 0)
     n_docs = g["n_docs"] - len(old_ids)
@@ -673,22 +713,24 @@ def delete_documents(index_dir: str, urls: list[str],
     checkpoint.write_text(json.dumps(g, indent=1),
                           os.path.join(index_dir, "global_stats.json"))
     segs["next_gen"] = gen + 1
+    segs["fold"] = fold
     segs["global_stats"] = g
     checkpoint.write_text(json.dumps(segs, indent=1),
                           _segments_path(index_dir))
+    _clear_folds(index_dir, segs)
     return g
 
 
 def compact(index_dir: str, out_dir: str,
             cfg: IndexConfig | None = None) -> dict:
-    """Fold all segments minus tombstones into a fresh single-segment build
-    (the xapian-compact analog): live tokenized rows re-shuffle into new
-    posting partitions; doc_ids are preserved."""
+    """Fold all segments minus the dead docs into a fresh single-segment
+    build (the xapian-compact analog): live tokenized rows re-shuffle into
+    new posting partitions; doc_ids are preserved."""
     with open(os.path.join(index_dir, "global_stats.json")) as f:
         g = json.load(f)
     cfg = cfg or IndexConfig.from_gstats(g)
     segs = load_segments(index_dir)
-    ts = _tombstone_ids(index_dir, segs["next_gen"])
+    ts = dead_ids(index_dir, segs.get("fold"))
 
     import ray.data
 

@@ -105,24 +105,15 @@ def load_spelling(index_dir: str, min_freq: int = 1) -> SpellingIndex:
     """Build a SpellingIndex from an index's term_stats (collfreq as the
     ranking frequency, matching Xapian's spelling frequency).
 
-    Reads through IndexReader's multi-segment view so updated indexes
-    contribute their delta segments and the negative deltas of replaced
-    docs: terms only present in an update still get suggested, and terms
-    whose every holder was replaced (post-delta termfreq 0) drop out."""
+    Reads IndexReader's committed dictionary (every segment plus the
+    fold of replaced docs' negative deltas), so terms only present in an
+    update still get suggested, and terms whose every holder was replaced
+    (post-delta termfreq 0) drop out."""
     from ..index.reader import IndexReader
 
-    reader = IndexReader(index_dir)
-    freqs: dict[str, int] = {}
-    alive: dict[str, int] = {}
-    for t in reader._stats_tables(None, columns=["term", "termfreq",
-                                                 "collfreq"]):
-        for term, tf, cf in zip(t.column("term").to_pylist(),
-                                t.column("termfreq").to_pylist(),
-                                t.column("collfreq").to_pylist()):
-            freqs[term] = freqs.get(term, 0) + int(cf)
-            alive[term] = alive.get(term, 0) + int(tf)
-    freqs = {t: f for t, f in freqs.items() if alive.get(t, 0) > 0}
-    return SpellingIndex(freqs, min_freq=min_freq)
+    stats = IndexReader(index_dir).all_term_stats()
+    return SpellingIndex({t: s["collfreq"] for t, s in stats.items()},
+                         min_freq=min_freq)
 
 
 def correct_query(q: str, sp: SpellingIndex,

@@ -164,7 +164,7 @@ def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
     # merge every segment into a scratch dir: postings equal compact()'s
     full = str(tmp_path / "full")
     up._merge_segments(idx, segs["segments"], full,
-                       up._tombstone_ids(idx, segs["next_gen"]),
+                       up.dead_ids(idx, segs["fold"]),
                        segs["global_stats"])
     compacted = str(tmp_path / "compacted")
     up.compact(idx, compacted)

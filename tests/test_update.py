@@ -14,7 +14,13 @@ import pytest
 from markdown_query_ray.config import BM25Params, IndexConfig, QueryConfig
 from markdown_query_ray.index.build import build_index
 from markdown_query_ray.index.reader import IndexReader
-from markdown_query_ray.index.update import compact, update_index
+from markdown_query_ray.index.update import (
+    compact,
+    dead_ids,
+    fold_stats_files,
+    load_segments,
+    update_index,
+)
 from markdown_query_ray.query import executor as qx
 from markdown_query_ray.query.ast import Or, Term
 
@@ -345,24 +351,38 @@ def test_update_past_stripe_wrap_keeps_blocks_sorted(ray_session, tmp_path):
 
 
 def test_spelling_sees_update_segments(base_index, tmp_path):
-    """load_spelling must read the multi-segment view: terms added by an
-    update get suggested, terms whose every holder was replaced drop out."""
+    """load_spelling reads the committed dictionary, every segment plus
+    the fold: terms added by an update get suggested, and terms whose
+    every holder was replaced or deleted drop out (here across two
+    generations and a delete, so only the folded deltas reach termfreq
+    0)."""
     import ray.data
 
-    from markdown_query_ray.query.spelling import load_spelling
+    from markdown_query_ray.index.update import delete_documents
+    from markdown_query_ray.query.spelling import SpellingIndex, load_spelling
 
     idx, rows = base_index
-    # replace every gamma-holding doc (odd ids) and add a new-term doc
-    upd = [(f"u{i}", f"alpha beta doc{i}") for i in range(1, 20, 2)]
+    # replace every gamma-holding doc (odd ids) over two generations and
+    # add a new-term doc; then delete the one holder of 'doc4'
+    upd = [(f"u{i}", f"alpha beta doc{i}") for i in range(1, 10, 2)]
     upd.append(("u500", "zebrafish alpha"))
     p = str(tmp_path / "upd.parquet")
     _pages(upd, p, base_id=20)
     update_index(idx, dataset=ray.data.read_parquet(p))
+    p = str(tmp_path / "upd2.parquet")
+    _pages([(f"u{i}", f"alpha beta doc{i}") for i in range(11, 20, 2)], p,
+           base_id=26)
+    update_index(idx, dataset=ray.data.read_parquet(p))
+    delete_documents(idx, ["u4"])
 
     sp = load_spelling(idx)
     assert "gamma" not in sp.freqs          # all holders replaced
+    assert "doc4" not in sp.freqs           # its one holder deleted
     assert sp.freqs.get("zebrafish", 0) > 0  # update-only term present
     assert sp.suggest("zebrafsh") == "zebrafish"
+    assert sp.freqs == SpellingIndex({
+        t: s["collfreq"]
+        for t, s in IndexReader(idx).all_term_stats().items()}).freqs
 
 
 def test_update_exact_term_stats(base_index, tmp_path):
@@ -556,11 +576,13 @@ def test_update_stale_stats_mode(base_index, tmp_path):
     assert _search_ids(idx, "delta") == {20, 21}
     gamma_ids = _search_ids(idx, "gamma")
     assert 3 not in gamma_ids
-    # stale: the deltas file exists but is empty, and 'gamma' termfreq
-    # still counts the dead doc 3 (overcount => WAND bounds stay valid)
-    d = pq.read_table(os.path.join(idx, "term_stats_deltas",
-                                   "gen-0001.parquet"))
-    assert d.num_rows == 0
+    # stale: the committed fold holds the dead doc 3 but no stat delta,
+    # and 'gamma' termfreq still counts it (overcount => WAND bounds stay
+    # valid)
+    fold = load_segments(idx)["fold"]
+    files = fold_stats_files(idx, fold)
+    assert files and sum(pq.read_metadata(f).num_rows for f in files) == 0
+    assert dead_ids(idx, fold).tolist() == [3]
     r = IndexReader(idx)
     n_gamma_docs = len([1 for i in range(20) if i % 2])
     assert r.term_stats(["gamma"])["gamma"]["termfreq"] == n_gamma_docs
