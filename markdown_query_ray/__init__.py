@@ -15,4 +15,4 @@ A from-scratch rebuild of the capabilities of ``ssosik/markdown_query``
 Nothing here calls ``ray.init`` — the caller owns the Ray session.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -154,7 +154,11 @@ def cmd_compact(args) -> int:
     _ray_up(args.num_cpus)
     from .index.update import compact
 
-    g = compact(args.index, args.out)
+    try:
+        g = compact(args.index, args.out)
+    except ValueError as e:  # the output overlaps the index
+        print(e, file=sys.stderr)
+        return 2
     print(json.dumps(g["stage_metrics"]))
     return 0
 

@@ -405,6 +405,69 @@ def encode_write_group(group: pa.Table, out_dir: str,
                          seconds=time.perf_counter() - t0)
 
 
+def _doclen_partial(batch: pa.Table) -> pa.Table:
+    """One (n, sum, min, max doclen, max doc_id) row per tokenized file."""
+    rows = {"n": [], "s": [], "lo": [], "hi": [], "max_id": []}
+    for p in batch.column("path").to_pylist():
+        t = pq.read_table(p, columns=["doclen", "doc_id"])
+        a = t.column("doclen")
+        n = len(a)
+        rows["n"].append(n)
+        rows["s"].append(int(pc.sum(a).as_py() or 0))
+        rows["lo"].append(int(pc.min(a).as_py()) if n else None)
+        rows["hi"].append(int(pc.max(a).as_py()) if n else None)
+        rows["max_id"].append(
+            int(pc.max(t.column("doc_id")).as_py()) if n else None)
+    return pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
+
+
+def doc_stats(tok_dir: str) -> tuple[dict, int]:
+    """(n_docs, total_doclen, doclen_lb/ub, avg_doclen) of the docs in
+    ``tok_dir``'s files, and the next free doc_id: a task-pool map over
+    the files, one partial row each, folded on the driver. Compacted
+    indexes keep doc_ids across tombstone holes, so the next free id is
+    max(live id)+1, NOT n_docs (which may be a live id)."""
+    import ray.data
+
+    partials = ray.data.from_items(
+        [{"path": os.path.join(tok_dir, f)} for f in sorted(
+            os.listdir(tok_dir)) if f.endswith(".parquet")]).map_batches(
+        _doclen_partial, batch_format="pyarrow").take_all()
+
+    def fold(key: str, fn) -> int:
+        vals = [r[key] for r in partials if r[key] is not None]
+        return fn(vals) if vals else 0
+
+    n, total = fold("n", sum), fold("s", sum)
+    return {"n_docs": n, "total_doclen": total,
+            "doclen_lb": fold("lo", min), "doclen_ub": fold("hi", max),
+            "avg_doclen": (total / n) if n else 0.0,
+            }, fold("max_id", lambda v: max(v) + 1)
+
+
+def commit_build(out_dir: str, gstats: dict, metrics: dict,
+                 next_doc_id: int, t_start: float) -> dict:
+    """Finish a single-segment index: record the total time in
+    ``metrics``, write ``global_stats.json`` and ``_metrics.json``, then
+    ``segments.json`` — the commit point, whose stats snapshot lets a
+    crashed update re-run without double-counting. Returns ``gstats``."""
+    metrics["total"] = round(time.perf_counter() - t_start, 3)
+    if gstats["n_docs"]:
+        metrics["docs_per_sec"] = round(gstats["n_docs"] / metrics["total"], 2)
+    gstats["stage_metrics"] = metrics
+    checkpoint.write_text(json.dumps(gstats, indent=1),
+                          os.path.join(out_dir, "global_stats.json"))
+    checkpoint.write_text(json.dumps(metrics, indent=1),
+                          os.path.join(out_dir, "_metrics.json"))
+    checkpoint.write_text(
+        json.dumps({"segments": ["."],
+                    "segment_docs": {".": gstats["n_docs"]},
+                    "next_doc_id": next_doc_id, "next_gen": 1,
+                    "global_stats": gstats}, indent=1),
+        os.path.join(out_dir, "segments.json"))
+    return gstats
+
+
 def build_index(out_dir: str,
                 paths: list[str] | None = None,
                 dataset=None,
@@ -491,50 +554,12 @@ def build_index(out_dir: str,
     # The docs table (doc_id, url, doclen) is NOT re-written: tokenized/ IS
     # the docs table — parquet column pruning makes reading just those three
     # columns cheap. The doclen aggregate is algebraic (count/sum/min/max),
-    # so it runs as a task-pool map over files (one tiny partial row per
-    # file) + an O(files) driver fold — an all-to-all ``Dataset.aggregate``
-    # here would shuffle for no reason.
+    # so ``doc_stats`` maps over files and folds on the driver — an
+    # all-to-all ``Dataset.aggregate`` here would shuffle for no reason.
     t0 = time.perf_counter()
-    tok_files = sorted(
-        os.path.join(tok_dir, f) for f in os.listdir(tok_dir)
-        if f.endswith(".parquet"))
-
-    def doclen_partial(batch: pa.Table) -> pa.Table:
-        rows = {"n": [], "s": [], "lo": [], "hi": [], "max_id": []}
-        for p in batch.column("path").to_pylist():
-            t = pq.read_table(p, columns=["doclen", "doc_id"])
-            a = t.column("doclen")
-            n = len(a)
-            rows["n"].append(n)
-            rows["s"].append(int(pc.sum(a).as_py() or 0))
-            rows["lo"].append(int(pc.min(a).as_py()) if n else None)
-            rows["hi"].append(int(pc.max(a).as_py()) if n else None)
-            rows["max_id"].append(
-                int(pc.max(t.column("doc_id")).as_py()) if n else None)
-        return pa.table({k: pa.array(v, pa.int64())
-                         for k, v in rows.items()})
-
-    partials = ray.data.from_items(
-        [{"path": p} for p in tok_files]).map_batches(
-        doclen_partial, batch_format="pyarrow").take_all()
-    n_docs = sum(r["n"] for r in partials)
-    total_doclen = sum(r["s"] for r in partials)
-    los = [r["lo"] for r in partials if r["lo"] is not None]
-    his = [r["hi"] for r in partials if r["hi"] is not None]
-    max_ids = [r["max_id"] for r in partials if r["max_id"] is not None]
-    # compacted indexes preserve doc_ids across tombstone holes, so the
-    # next free id is max(live id)+1, NOT n_docs — conflating the two would
-    # hand a later update an id that is already live
-    next_doc_id = (max(max_ids) + 1) if max_ids else 0
-    gstats = {
-        "n_docs": n_docs,
-        "total_doclen": total_doclen,
-        "doclen_lb": min(los) if los else 0,
-        "doclen_ub": max(his) if his else 0,
-        "avg_doclen": (total_doclen / n_docs) if n_docs else 0.0,
-        **{k: getattr(cfg, k) for k in RECORDED_SETTINGS},
-        "docs_per_bucket": docs_per_bucket,
-    }
+    gstats, next_doc_id = doc_stats(tok_dir)
+    gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS},
+                  docs_per_bucket=docs_per_bucket)
     _mark("global_stats", t0)
 
     # ---- stage 3: the merge shuffle -> encoded posting partitions ----------
@@ -578,20 +603,4 @@ def build_index(out_dir: str,
     gstats["wdf_ub_global"] = merge_term_stats(
         part_files, os.path.join(out_dir, "term_stats"))
     _mark("term_stats", t0)
-    metrics["total"] = round(time.perf_counter() - t_start, 3)
-    if gstats["n_docs"]:
-        metrics["docs_per_sec"] = round(gstats["n_docs"] / metrics["total"], 2)
-    gstats["stage_metrics"] = metrics
-    checkpoint.write_text(json.dumps(gstats, indent=1),
-                          os.path.join(out_dir, "global_stats.json"))
-    checkpoint.write_text(json.dumps(metrics, indent=1),
-                          os.path.join(out_dir, "_metrics.json"))
-    # initial segment registry: updates treat segments.json as the atomic
-    # commit point, and its embedded stats snapshot is what lets a crashed
-    # update re-run without double-counting — so it must exist (and hold
-    # the untainted base stats) BEFORE any update mutates global_stats.json
-    checkpoint.write_text(
-        json.dumps({"segments": ["."], "next_doc_id": next_doc_id,
-                    "next_gen": 1, "global_stats": gstats}, indent=1),
-        os.path.join(out_dir, "segments.json"))
-    return gstats
+    return commit_build(out_dir, gstats, metrics, next_doc_id, t_start)

@@ -20,7 +20,6 @@ reads, unrelated partitions.
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_left
 
@@ -101,10 +100,7 @@ class IndexReader:
         segs = load_segments(index_dir)
         self.segments = segs["segments"]
         self.fold = segs.get("fold")
-        self.gstats = segs.get("global_stats")
-        if self.gstats is None:  # an index written before the snapshot
-            with open(os.path.join(index_dir, "global_stats.json")) as f:
-                self.gstats = json.load(f)
+        self.gstats = segs["global_stats"]
         self.P = int(self.gstats["num_term_parts"])
         self.S = int(self.gstats["num_doc_buckets"])
         self._tombstones = None
@@ -139,11 +135,10 @@ class IndexReader:
         return self.gstats["doclen_ub"]
 
     @property
-    def wdf_ub_global(self) -> int | None:
+    def wdf_ub_global(self) -> int:
         """Exact global max wdf (glass version-file wdf_ubound,
-        glass_version.h:260-262); None on indexes built before the stat
-        existed."""
-        return self.gstats.get("wdf_ub_global")
+        glass_version.h:260-262)."""
+        return self.gstats["wdf_ub_global"]
 
     def first_wdf(self, terms: list[str]) -> dict[str, int]:
         """wdf of each term's first (lowest-doc_id) posting, across all

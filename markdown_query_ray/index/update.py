@@ -28,8 +28,9 @@ ever widens (still a valid WAND upper bound). Global n_docs/avg_doclen
 are recomputed exactly at update time from the replaced docs' stored
 doclens. Readers see committed state only: the segments, fold and stats
 snapshot ``segments.json`` names, so a crashed update's segment, fold and
-``global_stats.json`` stay invisible. ``compact()`` folds everything back
-into one base build (the analog of xapian-compact).
+``global_stats.json`` stay invisible. ``compact()`` merges every segment
+into a single-segment index elsewhere with the same merge kernel (the
+analog of xapian-compact), recomputing exact stats from its output.
 
 Each update or delete commits in three steps:
 
@@ -97,11 +98,15 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from .. import checkpoint
-from ..config import IndexConfig
+from ..config import RECORDED_SETTINGS, IndexConfig
 from .build import (
     POSTINGS_PARQUET,
     TERM_STATS_SCHEMA,
+    _manifest_row,
+    _stats_partial_from_blocks,
     build_index,
+    commit_build,
+    doc_stats,
     merge_term_stats,
     write_url_map,
 )
@@ -127,13 +132,11 @@ def _segments_path(index_dir: str) -> str:
 
 
 def load_segments(index_dir: str) -> dict:
-    p = _segments_path(index_dir)
-    if os.path.exists(p):
-        with open(p) as f:
-            return json.load(f)
-    with open(os.path.join(index_dir, "global_stats.json")) as f:
-        g = json.load(f)
-    return {"segments": ["."], "next_doc_id": g["n_docs"], "next_gen": 1}
+    """The committed state. Its ``global_stats`` snapshot, not
+    ``global_stats.json``, is authoritative: a crash between the two
+    writes must not let a re-run double-count."""
+    with open(_segments_path(index_dir)) as f:
+        return json.load(f)
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -191,10 +194,6 @@ def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
         keep = ~np.isin(out.column("doc_id").to_numpy().astype(np.uint64), ts)
         out = out.filter(pa.array(keep))
     return out
-
-
-def _empty_deltas() -> pa.Table:
-    return TERM_STATS_SCHEMA.empty_table()
 
 
 def _file_doc_id_range(path: str) -> tuple[int, int] | None:
@@ -274,7 +273,7 @@ def _stats_deltas_for(index_dir: str, segs: dict,
     escape hatch there). The output delta table is bounded by the replaced
     docs' distinct terms, never corpus-scale."""
     if len(doc_ids) == 0:
-        return _empty_deltas()
+        return TERM_STATS_SCHEMA.empty_table()
     ids_sorted = np.sort(np.asarray(doc_ids, np.uint64))
     files: list[str] = []
     for seg in segs["segments"]:
@@ -287,7 +286,7 @@ def _stats_deltas_for(index_dir: str, segs: dict,
                     continue  # file's id range holds no replaced doc
             files.append(p)
     if not files:
-        return _empty_deltas()
+        return TERM_STATS_SCHEMA.empty_table()
 
     if len(files) <= _DELTA_DRIVER_FILES:
         partials = [_file_delta_partial(p, ids_sorted) for p in files]
@@ -313,7 +312,7 @@ def _stats_deltas_for(index_dir: str, segs: dict,
                                         ("tot", pa.int64())]))]
     nonempty = [p for p in partials if len(p)]
     if not nonempty:
-        return _empty_deltas()
+        return TERM_STATS_SCHEMA.empty_table()
     t = pa.concat_tables(nonempty)
     agg = pa.TableGroupBy(t, "term").aggregate(
         [("cnt", "sum"), ("tot", "sum")])
@@ -323,25 +322,6 @@ def _stats_deltas_for(index_dir: str, segs: dict,
         "collfreq": pc.multiply(agg.column("tot_sum").cast(pa.int64()), -1),
         "wdf_ub": pa.array([0] * len(agg), pa.int64()),  # ub never shrinks
     })
-
-
-def _load_commit_state(index_dir: str) -> tuple[dict, dict]:
-    """(global_stats, segments) with the crash-idempotence preamble
-    shared by update_index and delete_documents: the stats snapshot
-    inside segments.json is authoritative once updates exist
-    (segments.json is the atomic commit point — a crash between the
-    global_stats.json write and the segments.json write must not let a
-    re-run double-count), and a legacy index without a registry gets
-    one persisted (with the still-untainted snapshot) BEFORE any
-    mutation."""
-    with open(os.path.join(index_dir, "global_stats.json")) as f:
-        g = json.load(f)
-    segs = load_segments(index_dir)
-    g = segs.setdefault("global_stats", g)
-    if not os.path.exists(_segments_path(index_dir)):
-        checkpoint.write_text(json.dumps(segs, indent=1),
-                              _segments_path(index_dir))
-    return g, segs
 
 
 def _write_fold(index_dir: str, segs: dict, gen: int, old_ids: np.ndarray,
@@ -367,6 +347,18 @@ def _write_fold(index_dir: str, segs: dict, gen: int, old_ids: np.ndarray,
     return rel
 
 
+def _commit(index_dir: str, segs: dict, g: dict, fold: str) -> None:
+    """Commit steps 2 and 3 of generation ``segs["next_gen"]``: write
+    ``global_stats.json``, swap ``segments.json`` naming ``fold`` with the
+    stats snapshot ``g``, then delete every other fold."""
+    checkpoint.write_text(json.dumps(g, indent=1),
+                          os.path.join(index_dir, "global_stats.json"))
+    segs.update(next_gen=segs["next_gen"] + 1, fold=fold, global_stats=g)
+    checkpoint.write_text(json.dumps(segs, indent=1),
+                          _segments_path(index_dir))
+    _clear_folds(index_dir, segs)
+
+
 def _clear_folds(index_dir: str, segs: dict) -> None:
     """Delete every fold ``segs`` does not name."""
     d = os.path.join(index_dir, "folds")
@@ -390,18 +382,6 @@ def merge_run(sizes: list[int]) -> tuple[int, int] | None:
         lo -= 1
         acc += sizes[lo]
     return (lo, len(sizes)) if lo < len(sizes) - 1 else None
-
-
-def _segment_docs(index_dir: str, segs: dict, seg: str) -> int:
-    """Docs the segment's generations added, dead ones included. Recorded
-    in ``segments.json`` per update and merge; the base build (or a
-    segment committed before the record existed) counts its tokenized
-    rows from the parquet footers."""
-    n = segs.get("segment_docs", {}).get(seg)
-    if n is None:
-        n = sum(pq.ParquetFile(f).metadata.num_rows for f in
-                _parquet_files(os.path.join(index_dir, seg, "tokenized")))
-    return n
 
 
 def _retire(index_dir: str, seg: str) -> None:
@@ -487,8 +467,9 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
     tokenized file — no shuffle — run locally below
     ``_MERGE_DRIVER_BYTES`` of input and as Ray Data tasks above it (one
     group function serves both); then the url map from the merged
-    tokenized rows and the inputs' term stats summed. Returns the
-    merge's row counts for its ``_metrics.json``."""
+    tokenized rows. Term stats are the caller's: a policy merge sums the
+    inputs', ``compact`` recomputes them from the merged blocks. Returns
+    the merge's row counts for its ``_metrics.json``."""
     cfg = IndexConfig.from_gstats(g)
     seg_dirs = [os.path.join(index_dir, s) for s in inputs]
     tok_files = [f for d in seg_dirs
@@ -527,10 +508,6 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
                                os.path.join(tok_dir, checkpoint.EMPTY_FILE))
     if "url" in schema.names:
         write_url_map(out_dir)
-    merge_term_stats(
-        [f for d in seg_dirs
-         for f in _parquet_files(os.path.join(d, "term_stats"))],
-        os.path.join(out_dir, "term_stats"))
     return {f"{kind}_rows_out": sum(n for k, n in kept if k == kind)
             for kind in ("postings", "tokenized")}
 
@@ -542,7 +519,9 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
     Returns the committed state after it. A no-op on its own output, so
     a re-run only redoes a merge a crash interrupted."""
     cand = segs["segments"][:-1]
-    run = merge_run([_segment_docs(index_dir, segs, s) for s in cand])
+    # docs each segment's generations added, dead ones included
+    docs = dict(segs["segment_docs"])
+    run = merge_run([docs[s] for s in cand])
     if run is None:
         return segs
     lo, hi = run
@@ -554,11 +533,14 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
     counts = _merge_segments(index_dir, inputs, out_dir,
                              dead_ids(index_dir, segs.get("fold")),
                              segs["global_stats"])
+    merge_term_stats(
+        [f for s in inputs
+         for f in _parquet_files(os.path.join(index_dir, s, "term_stats"))],
+        os.path.join(out_dir, "term_stats"))
     checkpoint.write_text(json.dumps({
         "merge_s": round(time.perf_counter() - t0, 3),
         "merge_inputs": len(inputs), **counts}, indent=1),
         os.path.join(out_dir, "_metrics.json"))
-    docs = {s: _segment_docs(index_dir, segs, s) for s in segs["segments"]}
     docs[rel] = sum(docs.pop(s) for s in inputs)
     segs = dict(segs, segments=segs["segments"][:lo] + [rel]
                 + segs["segments"][hi:], segment_docs=docs)
@@ -603,7 +585,8 @@ def update_index(index_dir: str,
     if stats_mode not in ("exact", "stale"):
         raise ValueError(f"stats_mode must be 'exact' or 'stale', "
                          f"got {stats_mode!r}")
-    g, segs = _load_commit_state(index_dir)
+    segs = load_segments(index_dir)
+    g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
     segs = _merge_tail(index_dir, segs)
     cfg = cfg or IndexConfig.from_gstats(g)
@@ -650,21 +633,12 @@ def update_index(index_dir: str,
         "doclen_lb": min(g["doclen_lb"], gseg["doclen_lb"])
         if gseg["n_docs"] else g["doclen_lb"],
         "doclen_ub": max(g["doclen_ub"], gseg["doclen_ub"]),
-        "wdf_ub_global": max(g.get("wdf_ub_global", 0),
-                             gseg.get("wdf_ub_global", 0)),
+        "wdf_ub_global": max(g["wdf_ub_global"], gseg["wdf_ub_global"]),
     })
-    checkpoint.write_text(json.dumps(g, indent=1),
-                          os.path.join(index_dir, "global_stats.json"))
-
     segs["segments"].append(seg_rel)
-    segs.setdefault("segment_docs", {})[seg_rel] = gseg["n_docs"]
-    segs["next_doc_id"] = segs["next_doc_id"] + gseg["n_docs"]
-    segs["next_gen"] = gen + 1
-    segs["fold"] = fold
-    segs["global_stats"] = g  # snapshot travels with the commit point
-    checkpoint.write_text(json.dumps(segs, indent=1),
-                          _segments_path(index_dir))
-    _clear_folds(index_dir, segs)
+    segs["segment_docs"][seg_rel] = gseg["n_docs"]
+    segs["next_doc_id"] += gseg["n_docs"]
+    _commit(index_dir, segs, g, fold)
     _merge_tail(index_dir, segs)
     return g
 
@@ -692,7 +666,8 @@ def delete_documents(index_dir: str, urls: list[str],
     if stats_mode not in ("exact", "stale"):
         raise ValueError(f"stats_mode must be 'exact' or 'stale', "
                          f"got {stats_mode!r}")
-    g, segs = _load_commit_state(index_dir)
+    segs = load_segments(index_dir)
+    g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
     gen = segs["next_gen"]
 
@@ -710,38 +685,52 @@ def delete_documents(index_dir: str, urls: list[str],
         # doclen/wdf bounds stay as-is: only ever conservative for WAND,
         # compaction re-proves them tight
     })
-    checkpoint.write_text(json.dumps(g, indent=1),
-                          os.path.join(index_dir, "global_stats.json"))
-    segs["next_gen"] = gen + 1
-    segs["fold"] = fold
-    segs["global_stats"] = g
-    checkpoint.write_text(json.dumps(segs, indent=1),
-                          _segments_path(index_dir))
-    _clear_folds(index_dir, segs)
+    _commit(index_dir, segs, g, fold)
     return g
 
 
-def compact(index_dir: str, out_dir: str,
-            cfg: IndexConfig | None = None) -> dict:
-    """Fold all segments minus the dead docs into a fresh single-segment
-    build (the xapian-compact analog): live tokenized rows re-shuffle into
-    new posting partitions; doc_ids are preserved."""
-    with open(os.path.join(index_dir, "global_stats.json")) as f:
-        g = json.load(f)
-    cfg = cfg or IndexConfig.from_gstats(g)
+def compact(index_dir: str, out_dir: str) -> dict:
+    """Merge every segment of the committed index minus its dead docs into
+    a single-segment index in ``out_dir`` with the policy merge's kernel
+    (the xapian-compact analog; doc_ids are preserved). Its stats are
+    recomputed from what it wrote, so they are exact (a ``"stale"``
+    over-count is gone) and the bounds tight. Returns the global stats.
+
+    ``out_dir`` must not be, hold or lie inside ``index_dir``
+    (ValueError). Its ``segments.json`` is deleted first and written last,
+    the commit point; of the rest only ``_SEGMENT_DATA`` is cleared."""
+    src, dst = os.path.realpath(index_dir), os.path.realpath(out_dir)
+    if os.path.commonpath([src, dst]) in (src, dst):
+        raise ValueError(f"compact: output {out_dir!r} must not be or "
+                         f"overlap the index {index_dir!r}")
+    t_start = time.perf_counter()
     segs = load_segments(index_dir)
-    ts = dead_ids(index_dir, segs.get("fold"))
-
-    import ray.data
-
-    tok_dirs = [os.path.join(index_dir, s, "tokenized")
-                for s in segs["segments"]]
-    tok_dirs = [d for d in tok_dirs if os.path.isdir(d)]
-    ds = ray.data.read_parquet(tok_dirs, file_extensions=["parquet"])
-    if len(ts):
-        def drop_dead(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy().astype(np.uint64)
-            return batch.filter(pa.array(~np.isin(ids, ts)))
-
-        ds = ds.map_batches(drop_dead, batch_format="pyarrow")
-    return build_index(out_dir, dataset=ds, cfg=cfg)
+    cfg = IndexConfig.from_gstats(segs["global_stats"])
+    if os.path.exists(_segments_path(out_dir)):
+        os.remove(_segments_path(out_dir))
+    for sub in _SEGMENT_DATA:
+        checkpoint.clear_dir(os.path.join(out_dir, sub))
+    _merge_segments(index_dir, segs["segments"], out_dir,
+                    dead_ids(index_dir, segs.get("fold")),
+                    segs["global_stats"])
+    metrics = {"merge": round(time.perf_counter() - t_start, 3)}
+    gstats, next_doc_id = doc_stats(os.path.join(out_dir, "tokenized"))
+    gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS})
+    # exact per-term stats from the merged blocks, as the build takes them
+    partials, manifest = [], []
+    for k in range(cfg.num_term_parts * cfg.num_doc_buckets):
+        p = os.path.join(out_dir, "postings", f"part-{k:06d}.parquet")
+        if not os.path.exists(p):
+            continue  # nothing survived in this partition
+        blocks = pq.read_table(p, columns=["term", "n", "sum_wdf",
+                                           "max_wdf"])
+        partials.append(_stats_partial_from_blocks(blocks))
+        manifest += _manifest_row(
+            k, p, len(blocks), int(pc.sum(blocks.column("n")).as_py()),
+            os.path.getsize(p), resumed=False, seconds=0.0).to_pylist()
+    gstats["wdf_ub_global"] = merge_term_stats(
+        [], os.path.join(out_dir, "term_stats"),
+        pa.concat_tables(partials) if partials else None)
+    checkpoint.write_text("".join(json.dumps(r) + "\n" for r in manifest),
+                          os.path.join(out_dir, "_manifest.jsonl"))
+    return commit_build(out_dir, gstats, metrics, next_doc_id, t_start)

@@ -765,10 +765,7 @@ class Evaluator:
                 wub = cf
             else:
                 fw = self.reader.first_wdf([node.text])[node.text]
-                wub = max(cf - fw, fw)
-                g = self.reader.wdf_ub_global
-                if g is not None:
-                    wub = min(wub, g)
+                wub = min(max(cf - fw, fw), self.reader.wdf_ub_global)
             return w.maxpart_global(wub, self.reader.doclen_lb)
         if isinstance(node, Wildcard):
             return self._maxweight(Synonym((node,)))

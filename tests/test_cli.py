@@ -72,6 +72,14 @@ def test_update_and_compact(corpus, tmp_path, capsys):
     assert rc == 0
     assert "new.example" in capsys.readouterr().out
 
+    # compacting an index into itself would drop its updates: refused
+    rc = main(["compact", idx, idx])
+    assert rc != 0
+    assert "must not be or overlap the index" in capsys.readouterr().err
+    rc = main(["query", idx, "qqbrandnew"])
+    assert rc == 0
+    assert "new.example" in capsys.readouterr().out
+
 
 def test_markdown_build_and_field_query(ray_session, tmp_path, capsys):
     mds = []

@@ -53,17 +53,18 @@ def _build(idx: str, rows, cfg: IndexConfig) -> None:
                 total_docs=len(rows))
 
 
-def _update(idx: str, g: int) -> None:
+def _update(idx: str, g: int, stats_mode: str = "exact") -> None:
     import ray.data
 
     base = up.load_segments(idx)["next_doc_id"]
-    up.update_index(idx, dataset=ray.data.from_arrow(_table(_batch(g), base)))
+    up.update_index(idx, dataset=ray.data.from_arrow(_table(_batch(g), base)),
+                    stats_mode=stats_mode)
 
 
-def _hits(idx: str) -> list[dict]:
+def _hits(idx: str, qcfg: QueryConfig = QCFG) -> list[dict]:
     out = []
     for node in QUERIES:
-        t = qx.search(idx, node, QCFG, distributed=False, with_urls=True)
+        t = qx.search(idx, node, qcfg, distributed=False, with_urls=True)
         out.append({u: round(s, 9) for u, s in zip(
             t.column("url").to_pylist(), t.column("score").to_pylist())})
     return out
@@ -133,16 +134,64 @@ def test_policy_segment_counts_and_live_results(ray_session, tmp_path):
     assert os.listdir(os.path.join(idx, "merged")) == ["m-0009"]
 
 
-@pytest.mark.parametrize("codec,positions,ray_leg", [
-    ("varint", False, False),
-    ("bitpack", True, False),
-    ("varint", True, True),
+def _rebuild(idx: str, out: str) -> dict:
+    """The reference for compact: a from-scratch build_index over the live
+    tokenized rows of the committed segments, re-shuffled."""
+    import ray.data
+
+    segs = up.load_segments(idx)
+    dead = up.dead_ids(idx, segs["fold"])
+
+    def drop_dead(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_numpy().astype(np.uint64)
+        return batch.filter(pa.array(~np.isin(ids, dead)))
+
+    ds = ray.data.read_parquet(
+        [os.path.join(idx, s, "tokenized") for s in segs["segments"]],
+        file_extensions=["parquet"]).map_batches(drop_dead,
+                                                 batch_format="pyarrow")
+    return build_index(out, dataset=ds,
+                       cfg=IndexConfig.from_gstats(segs["global_stats"]))
+
+
+def _written(idx: str) -> dict:
+    """What a single-segment index holds: every postings table, the term
+    stats, the url-map and tokenized rows sorted by doc_id, the global
+    stats without timings and the next free doc_id."""
+    def table(sub: str, key: str = "term") -> pa.Table | None:
+        files = up._parquet_files(os.path.join(idx, sub))
+        return pa.concat_tables(pq.read_table(p) for p in files).sort_by(
+            key) if files else None
+
+    post = os.path.join(idx, "postings")
+    with open(os.path.join(idx, "global_stats.json")) as f:
+        g = json.load(f)
+    del g["stage_metrics"]
+    return {"postings": {p: pq.read_table(os.path.join(post, p))
+                         for p in sorted(os.listdir(post))}
+            if os.path.isdir(post) else {},
+            "term_stats": table("term_stats"),
+            "url_map": table("url_map", "doc_id"),
+            "tokenized": table("tokenized", "doc_id"),
+            "global_stats": g,
+            "next_doc_id": up.load_segments(idx)["next_doc_id"]}
+
+
+@pytest.mark.parametrize("codec,positions,ray_leg,history", [
+    pytest.param("varint", False, False, "updates", id="varint-False-False"),
+    pytest.param("bitpack", True, False, "updates", id="bitpack-True-False"),
+    pytest.param("varint", True, True, "updates", id="varint-True-True"),
+    pytest.param("varint", False, False, "stale", id="stale-update"),
+    pytest.param("bitpack", False, False, "all-deleted", id="all-deleted"),
 ])
 def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
-                        positions, ray_leg):
+                        positions, ray_leg, history):
     """A merge changes no answer of the reader (term stats of every term,
-    urls, payloads, bucket universes, search hits), and merging every
-    segment writes postings tables equal to compact()'s."""
+    urls, payloads, bucket universes, search hits), and compact() writes
+    what a from-scratch build of the live tokenized rows writes: postings,
+    term stats, url map, tokenized rows, global stats and next doc_id.
+    ``history``: 4 updates; the same with generation 2 in
+    ``stats_mode="stale"``; or 4 updates, then every url deleted."""
     if ray_leg:
         monkeypatch.setattr(up, "_MERGE_DRIVER_BYTES", 0)
     cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
@@ -153,40 +202,52 @@ def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
     with monkeypatch.context() as m:
         _no_merge(m)
         for g in range(1, 5):
-            _update(idx, g)
+            _update(idx, g, "stale" if history == "stale" and g == 2
+                    else "exact")
+        if history == "all-deleted":
+            up.delete_documents(idx, [f"u{i}" for i in range(10)]
+                                + [f"n{g}" for g in range(1, 5)])
     segs = up.load_segments(idx)
     assert len(segs["segments"]) == 5
-    before, hits = _reader_view(idx), _hits(idx)
+    # classic BM25's idf is undefined where a stale termfreq exceeds
+    # n_docs ('alpha' after the stale generation): score that case with
+    # the xapian profile, whose idf floor keeps it defined
+    qcfg = QueryConfig(k=100) if history == "stale" else QCFG
+    before, hits = _reader_view(idx), _hits(idx, qcfg)
     if positions:
         phrase = qx.search(idx, Phrase(("alpha", "alpha")), QCFG,
                            distributed=False)
 
-    # merge every segment into a scratch dir: postings equal compact()'s
-    full = str(tmp_path / "full")
-    up._merge_segments(idx, segs["segments"], full,
-                       up.dead_ids(idx, segs["fold"]),
-                       segs["global_stats"])
     compacted = str(tmp_path / "compacted")
-    up.compact(idx, compacted)
-    parts = sorted(os.listdir(os.path.join(compacted, "postings")))
-    assert parts == sorted(os.listdir(os.path.join(full, "postings")))
-    for p in parts:
-        want = pq.read_table(os.path.join(compacted, "postings", p))
-        got = pq.read_table(os.path.join(full, "postings", p))
-        assert got.equals(want), p
+    g = up.compact(idx, compacted)
+    ref = str(tmp_path / "ref")
+    want = _rebuild(idx, ref)
+    assert g["n_docs"] == want["n_docs"] == (0 if history == "all-deleted"
+                                             else 14)
+    got, want = _written(compacted), _written(ref)
+    assert got["postings"].keys() == want["postings"].keys()
+    for p, t in want["postings"].items():
+        assert got["postings"][p].equals(t), p
+    for key in ("term_stats", "url_map", "tokenized"):
+        assert (got[key] is None and want[key] is None) or \
+            got[key].equals(want[key]), key
+    assert got["global_stats"] == want["global_stats"]
+    assert got["next_doc_id"] == want["next_doc_id"]
 
-    # the policy's merge through the commit: base + gens 1-3 fold into one
+    # the policy's merge through the commit: base + gens 1-3 fold into one,
+    # named after the newest committed generation (the delete's is 5)
     up._merge_tail(idx, segs)
-    assert up.load_segments(idx)["segments"] == ["merged/m-0004",
-                                                 "updates/gen-0004"]
+    merged = os.path.join("merged", f"m-{segs['next_gen'] - 1:04d}")
+    assert up.load_segments(idx)["segments"] == [merged, "updates/gen-0004"]
     assert _reader_view(idx) == before
-    assert _hits(idx) == hits
-    with open(os.path.join(idx, "merged", "m-0004", "_metrics.json")) as f:
+    assert _hits(idx, qcfg) == hits
+    with open(os.path.join(idx, merged, "_metrics.json")) as f:
         m = json.load(f)
     # 16 docs written by the base and gens 1-3, 4 base docs replaced by
     # gens 1-4 (gen 4 is committed when its merge runs)
-    assert (m["merge_inputs"], m["tokenized_rows_out"]) == (4, 12)
-    assert m["merge_s"] >= 0 and m["postings_rows_out"] > 0
+    kept = 0 if history == "all-deleted" else 12
+    assert (m["merge_inputs"], m["tokenized_rows_out"]) == (4, kept)
+    assert m["merge_s"] >= 0 and (m["postings_rows_out"] > 0) == (kept > 0)
     if positions:
         assert qx.search(idx, Phrase(("alpha", "alpha")), QCFG,
                          distributed=False).equals(phrase)
@@ -218,9 +279,29 @@ def _orphans(idx: str) -> list[str]:
 
 
 def _state(idx: str) -> tuple:
-    r = IndexReader(idx)
-    every = sorted(r.term_stats([], prefixes=[""]))
-    return _hits(idx), r.term_stats(every), _data_files(idx)
+    return _hits(idx), IndexReader(idx).all_term_stats(), _data_files(idx)
+
+
+def _run_failing(monkeypatch, fn, fail_at: int | None = None) -> int:
+    """Run ``fn()`` with every checkpoint.write_table / write_text counted
+    and the ``fail_at``-th failing with OSError; returns the count."""
+    n = 0
+    real = {f: getattr(checkpoint, f) for f in ("write_table", "write_text")}
+
+    def counted(name):
+        def write(*a, **kw):
+            nonlocal n
+            n += 1
+            if n == fail_at:
+                raise OSError(f"injected failure of write {n}")
+            return real[name](*a, **kw)
+        return write
+
+    with monkeypatch.context() as m:
+        for f in real:
+            m.setattr(checkpoint, f, counted(f))
+        fn()
+    return n
 
 
 def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
@@ -246,28 +327,13 @@ def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
         assert _orphans(idx) == []
         return _state(idx)
 
-    calls = {"n": 0, "fail_at": None}
-    real = {f: getattr(checkpoint, f) for f in ("write_table", "write_text")}
-
-    def counted(name):
-        def write(*a, **kw):
-            calls["n"] += 1
-            if calls["n"] == calls["fail_at"]:
-                raise OSError(f"injected failure of write {calls['n']}")
-            return real[name](*a, **kw)
-        return write
-
-    def merge_with(idx: str, fail_at) -> None:
-        calls.update(n=0, fail_at=fail_at)
-        with monkeypatch.context() as m:
-            for f in real:
-                m.setattr(checkpoint, f, counted(f))
-            up._merge_tail(idx, up.load_segments(idx))
+    def merge_with(idx: str, fail_at) -> int:
+        return _run_failing(monkeypatch, lambda: up._merge_tail(
+            idx, up.load_segments(idx)), fail_at)
 
     clean = str(tmp_path / "clean")
     shutil.copytree(prep, clean)
-    merge_with(clean, None)
-    n_writes = calls["n"]
+    n_writes = merge_with(clean, None)
     assert up.load_segments(clean)["segments"] == [
         "merged/m-0004", "merged/m-0007", "updates/gen-0007"]
     want = finish(clean)
@@ -292,3 +358,45 @@ def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
             up._merge_tail(idx, up.load_segments(idx))
     assert _orphans(idx) != []
     assert finish(idx) == want
+
+
+def test_compact_crash_at_every_write(ray_session, tmp_path, monkeypatch):
+    """Fail the k-th checkpoint write of a compact over an older compact's
+    output, for every k, then re-run it into the same out_dir: hits, term
+    stats and the data files equal an uninterrupted compact's and a
+    compact into a fresh directory. A crashed compact leaves no
+    segments.json, and the index it reads is never written."""
+    cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
+                      num_doc_buckets=2, block_size=4, store_payload=True)
+    idx = str(tmp_path / "idx")
+    _build(idx, _base_rows(10), cfg)
+    with monkeypatch.context() as m:
+        _no_merge(m)
+        for g in range(1, 4):
+            _update(idx, g)
+    stale = str(tmp_path / "stale")
+    up.compact(idx, stale)
+    # every doc of generation 3 dies, so its tokenized file in the stale
+    # output has no counterpart in the next compact
+    up.delete_documents(idx, ["u7", "n3", "u2"])
+    src = _state(idx)
+
+    clean = str(tmp_path / "clean")
+    shutil.copytree(stale, clean)
+    n_writes = _run_failing(monkeypatch, lambda: up.compact(idx, clean))
+    want = _state(clean)
+    assert n_writes > 5
+    fresh = str(tmp_path / "fresh")
+    up.compact(idx, fresh)
+    assert _state(fresh) == want
+
+    for k in range(1, n_writes + 1):
+        out = str(tmp_path / f"crash{k}")
+        shutil.copytree(stale, out)
+        with pytest.raises(OSError, match="injected"):
+            _run_failing(monkeypatch, lambda: up.compact(idx, out), k)
+        assert not os.path.exists(os.path.join(out, "segments.json")), k
+        up.compact(idx, out)
+        assert _state(out) == want, k
+        shutil.rmtree(out)
+    assert _state(idx) == src

@@ -202,16 +202,12 @@ def test_update_crash_before_commit_is_idempotent(base_index, tmp_path):
            p, base_id=20)
 
     seg_path = os.path.join(idx, "segments.json")
-    pre_segments = (open(seg_path).read()
-                    if os.path.exists(seg_path) else None)
+    pre_segments = open(seg_path).read()
     g = update_index(idx, dataset=ray.data.read_parquet(p))
     # rewind ONLY the commit point — everything else (segment dir,
     # tombstones, deltas, global_stats.json) is the crashed state
-    if pre_segments is None:
-        os.remove(seg_path)
-    else:
-        with open(seg_path, "w") as f:
-            f.write(pre_segments)
+    with open(seg_path, "w") as f:
+        f.write(pre_segments)
 
     g2 = update_index(idx, dataset=ray.data.read_parquet(p))
     assert g2["n_docs"] == g["n_docs"] == 21
@@ -448,6 +444,50 @@ def test_compact_preserves_results(base_index, tmp_path):
     # compacted index has no segments/tombstones
     r = IndexReader(out)
     assert r.segments == ["."] and len(r.tombstones) == 0
+
+
+def test_compact_twice_into_same_out_dir(base_index, tmp_path):
+    """A second compact into the same out_dir writes the index's current
+    state, not the first compact's: a later update's new word is found,
+    and the doc it replaced no longer matches."""
+    import ray.data
+
+    idx, _ = base_index
+    out = str(tmp_path / "compacted")
+    p = str(tmp_path / "u3.parquet")
+    _pages([("u3", "alpha delta replaced")], p, base_id=20)
+    update_index(idx, dataset=ray.data.read_parquet(p))
+    compact(idx, out)
+    assert _search_ids(out, "zeta") == set()
+    p = str(tmp_path / "u5.parquet")
+    _pages([("u5", "alpha zeta replaced")], p, base_id=21)
+    update_index(idx, dataset=ray.data.read_parquet(p))
+    g = compact(idx, out)
+    assert g["n_docs"] == 20
+    assert _search_ids(out, "zeta") == {21}
+    assert _search_ids(out, "gamma") == \
+        {i for i in range(20) if i % 2 and i not in (3, 5)}
+    assert _search_ids(out, "alpha") == _search_ids(idx, "alpha")
+
+
+def test_compact_rejects_overlapping_out_dir(base_index, tmp_path):
+    """compact refuses an out_dir that is the index, lies inside it or
+    holds it (the check resolves symlinks), and leaves the index as it
+    was."""
+    import ray.data
+
+    idx, _ = base_index
+    p = str(tmp_path / "upd.parquet")
+    _pages([("u3", "alpha delta replaced")], p, base_id=20)
+    update_index(idx, dataset=ray.data.read_parquet(p))
+    want = {t: _search_ids(idx, t) for t in ("alpha", "gamma", "delta")}
+    link = str(tmp_path / "link")
+    os.symlink(idx, link)
+    for out in (idx, link, os.path.join(idx, "sub"), str(tmp_path)):
+        with pytest.raises(ValueError, match="overlap"):
+            compact(idx, out)
+    assert {t: _search_ids(idx, t) for t in want} == want
+    assert not os.path.exists(os.path.join(idx, "sub"))
 
 
 def test_wand_on_updated_index(base_index, tmp_path):
