@@ -144,7 +144,7 @@ def cmd_delete(args) -> int:
     if getattr(args, "url_file", None):
         with open(args.url_file) as f:
             urls.extend(ln.strip() for ln in f if ln.strip())
-    g = delete_documents(args.index, urls, stats_mode=args.stats_mode)
+    g = delete_documents(args.index, urls)
     print(json.dumps({"n_docs": g["n_docs"],
                       "avg_doclen": g["avg_doclen"]}))
     return 0
@@ -256,8 +256,6 @@ def make_parser() -> argparse.ArgumentParser:
     dl.add_argument("urls", nargs="*")
     dl.add_argument("--url-file", default=None,
                     help="newline-separated urls to delete")
-    dl.add_argument("--stats-mode", default="exact",
-                    choices=["exact", "stale"])
     dl.set_defaults(fn=cmd_delete)
 
     c = sub.add_parser("compact")

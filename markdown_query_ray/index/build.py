@@ -267,14 +267,15 @@ def write_url_map(out_dir: str) -> None:
     checkpoint.mark_done(um_dir, "_SUCCESS")
 
 
-def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table | None:
+def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table:
     """(doc_id, url, doclen) rows of ``urls`` from a segment's url map,
     reading ONLY the hash buckets the urls fall in — the per-update lookup
-    never scans the segment's corpus. Returns None when the segment predates
-    the url map (callers fall back to the tokenized scan)."""
+    never scans the segment's corpus. Raises FileNotFoundError when the
+    segment has no complete url map (it has no ``url`` column, or its
+    build did not finish)."""
     um_dir = os.path.join(seg_dir, "url_map")
     if not checkpoint.is_done(um_dir, "_SUCCESS"):
-        return None
+        raise FileNotFoundError(f"{seg_dir}: no complete url map")
     from ..functions.hashing import fnv1a64_strings
 
     need = np.unique(fnv1a64_strings(pa.array(urls, pa.string()))
@@ -318,11 +319,13 @@ def merge_term_stats(files: list[str], ts_dir: str,
     """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files, plus
     the in-memory ``extra`` rows) into ``ts_dir``: per term, the sum of
     termfreq and collfreq and the max of wdf_ub, sorted by term, in row
-    groups of ``TERM_STATS_ROW_GROUP``. Returns the max wdf_ub — the glass
-    version-file wdf_ubound analog (glass_version.h:260-262), input to the
-    per-term xapian wdf bound. Small folds run driver-side as one Arrow
-    groupby; past TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a
-    trillion-doc term dictionary never has to fit on the driver."""
+    groups of ``TERM_STATS_ROW_GROUP``; a term whose termfreq sums to 0
+    (every dead doc holding it left the fold at a merge) is dropped.
+    Returns the max wdf_ub — the glass version-file wdf_ubound analog
+    (glass_version.h:260-262), input to the per-term xapian wdf bound.
+    Small folds run driver-side as one Arrow groupby; past
+    TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a trillion-doc term
+    dictionary never has to fit on the driver."""
     checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
     rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
     rows += 0 if extra is None else len(extra)
@@ -339,6 +342,7 @@ def merge_term_stats(files: list[str], ts_dir: str,
             "collfreq": agg.column("collfreq_sum").cast(pa.int64()),
             "wdf_ub": agg.column("wdf_ub_max").cast(pa.int64()),
         })
+        merged = merged.filter(pc.not_equal(merged.column("termfreq"), 0))
         merged = merged.take(pc.sort_indices(
             merged, sort_keys=[("term", "ascending")]))
         checkpoint.write_table(
@@ -356,7 +360,8 @@ def merge_term_stats(files: list[str], ts_dir: str,
         ds.groupby("term").aggregate(
             Sum("termfreq", alias_name="termfreq"),
             Sum("collfreq", alias_name="collfreq"),
-            Max("wdf_ub", alias_name="wdf_ub")), ts_dir,
+            Max("wdf_ub", alias_name="wdf_ub")).filter(
+            expr="termfreq != 0"), ts_dir,
         row_group_size=TERM_STATS_ROW_GROUP)
     mx = ds.aggregate(Max("wdf_ub", alias_name="m"))
     return int(mx["m"] or 0)

@@ -8,8 +8,9 @@ file's footer and then only the row groups whose [min, max] term range
 can hold a query term or a wildcard prefix's range; posting reads push
 the term filter down.
 
-An updated index's dead-doc state is one fold (``index/update.py``): one
-per-term delta file and one sorted dead-id file, named by
+Each segment's term stats are its own blocks' stats. An updated index's
+dead-doc state is one fold (``index/update.py``): the negative per-term
+stats and the sorted ids of the dead docs still on disk, named by
 ``segments.json``. A cold lookup opens one stats file per segment plus
 the fold's, however many generations ran.
 
@@ -217,9 +218,9 @@ class IndexReader:
         the same read, for every term under each of ``prefixes`` (absent
         and dead terms omitted). Each stats file is read only in the row
         groups its footer says can hold them; on an updated index,
-        segment stats and the fold's negative deltas of replaced docs sum
-        to EXACT termfreq/collfreq (wdf_ub only widens — still a valid
-        WAND bound)."""
+        segment stats and the fold's negative stats of the dead docs still
+        on disk sum to EXACT termfreq/collfreq (wdf_ub counts those dead
+        docs until a merge drops them — still a valid WAND bound)."""
         if not terms and not prefixes:
             return {}
         return self._dictionary(sorted(set(terms)), sorted(set(prefixes)))

@@ -8,29 +8,28 @@ columnar rebuild expresses the same contract as LSM-style delta segments:
     <index>/updates/gen-0001/     each update = a complete mini-index over
                                   the new/changed docs (same P x S layout)
     <index>/merged/m-0003/        a merge of consecutive segments
-    <index>/folds/f-0004/         the fold: every committed generation's
-                                  dead-doc state in one place —
-                                  term_stats/ sums their NEGATIVE per-term
-                                  rows for the replaced docs (computed
-                                  exactly from their stored tokenized
-                                  rows), dead.parquet holds their doc_ids,
-                                  sorted
+    <index>/folds/f-0004/         the fold: the dead docs still on disk —
+                                  term_stats/ holds their NEGATIVE per-term
+                                  rows (exact, from their tokenized rows),
+                                  dead.parquet their sorted doc_ids
     <index>/tombstones/*.parquet  each generation's dead doc_ids: a
                                   write-only record, never read back
     <index>/segments.json         the commit point: segment list, per-
                                   segment doc counts, the fold, next_doc_id,
                                   next_gen and the global stats snapshot
 
-Queries see exact results: the reader unions posting partitions across
-segments, drops the fold's dead doc_ids at decode time, and aggregates
-term_stats as segments + fold — termfreq/collfreq are EXACT; wdf_ub only
-ever widens (still a valid WAND upper bound). Global n_docs/avg_doclen
-are recomputed exactly at update time from the replaced docs' stored
-doclens. Readers see committed state only: the segments, fold and stats
-snapshot ``segments.json`` names, so a crashed update's segment, fold and
+One rule holds the stats: a segment's term stats are its own blocks'
+stats, and the fold subtracts the dead docs still on disk. Queries see
+exact results: the reader unions posting partitions across segments,
+drops the fold's dead doc_ids at decode time, and sums term_stats over
+segments + fold — termfreq/collfreq are EXACT; wdf_ub counts dead docs
+until a merge drops them (still a valid WAND upper bound). Global
+n_docs/avg_doclen are recomputed exactly at update time from the
+replaced docs' stored doclens. Readers see committed state only: what
+``segments.json`` names, so a crashed update's segment, fold and
 ``global_stats.json`` stay invisible. ``compact()`` merges every segment
 into a single-segment index elsewhere with the same merge kernel (the
-analog of xapian-compact), recomputing exact stats from its output.
+analog of xapian-compact); every dead doc is in an input, so no fold.
 
 Each update or delete commits in three steps:
 
@@ -58,21 +57,23 @@ count stays about log(generations). The newest segment is never an input:
 its directory is the update's own build record. The merge needs no
 shuffle — every segment shares the P x S layout and doc_ids rise by
 segment, so each ``part-k`` merges on its own: decode the inputs'
-blocks, drop the fold's dead doc_ids, re-block. The merged term stats
-are the inputs' rows summed (dead docs included); the fold still
-subtracts the dead, so segments + fold stay exact and a merge leaves the
-fold as it is.
+blocks, drop the fold's dead doc_ids, re-block, and take the term stats
+from the output blocks, as a build does. The dropped docs leave the fold
+too: its stats gain D = the inputs' term stats minus the merged
+segment's, per term, and its dead ids lose those in the inputs' doc-id
+range (segments hold disjoint, rising id ranges). Segments + fold keep
+their exact sum.
 
 A merge commits in three steps:
 
 1. write ``merged/m-NNNN`` (NNNN = the newest committed generation),
-   cleared first;
-2. swap ``segments.json`` atomically — the commit point;
-3. retire the inputs: delete their data (``_SEGMENT_DATA``); an update
-   generation keeps its build record (``_metrics.json`` and its stats
-   files), a retired merge directory goes whole.
+   cleared first, and its fold ``folds/m-NNNN``;
+2. swap ``segments.json`` atomically — the commit point, naming both;
+3. retire the inputs: delete their data (``_SEGMENT_DATA``; an update
+   generation keeps its build record, a merge directory goes whole),
+   then every other fold.
 
-``update_index`` starts by clearing every segment's data that
+``update_index`` starts by clearing every segment's data and every fold
 ``segments.json`` does not list (a crashed merge's output, or inputs it
 did not finish retiring), then re-runs the policy, which redoes a merge
 a crash interrupted and is a no-op otherwise. A reader opened before a
@@ -108,6 +109,7 @@ from .build import (
     commit_build,
     doc_stats,
     merge_term_stats,
+    url_map_lookup,
     write_url_map,
 )
 from .codec import decode_postings, encode_partition
@@ -163,33 +165,14 @@ def fold_stats_files(index_dir: str, fold: str | None) -> list[str]:
 
 
 def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
-    """(doc_id, url, doclen) of LIVE docs among ``urls`` across segments.
-    Reads the segment's hash-bucketed url map when present (only the
-    buckets the urls fall in — no corpus scan per update); segments built
-    before the url map fall back to a filtered tokenized scan. Only the
-    committed fold's dead ids count: a re-run after a crash mid-commit
-    recomputes the SAME replaced set, not an empty one."""
-    from .build import url_map_lookup
-
+    """(doc_id, url, doclen) of LIVE docs among ``urls`` across segments,
+    from each segment's hash-bucketed url map (only the buckets the urls
+    fall in — no corpus scan per update). Only the committed fold's dead
+    ids count: a re-run after a crash mid-commit recomputes the SAME
+    replaced set, not an empty one."""
     ts = dead_ids(index_dir, segs.get("fold"))
-    tabs = []
-    for seg in segs["segments"]:
-        seg_dir = os.path.join(index_dir, seg)
-        t = url_map_lookup(seg_dir, urls)
-        if t is None:
-            tok = os.path.join(seg_dir, "tokenized")
-            if not os.path.isdir(tok):
-                continue
-            t = pads.dataset(tok).to_table(
-                columns=["doc_id", "url", "doclen"],
-                filter=pc.field("url").isin(urls))
-        if len(t):
-            tabs.append(t)
-    if not tabs:
-        return pa.table({"doc_id": pa.array([], pa.uint64()),
-                         "url": pa.array([], pa.string()),
-                         "doclen": pa.array([], pa.uint32())})
-    out = pa.concat_tables(tabs)
+    out = pa.concat_tables([url_map_lookup(os.path.join(index_dir, s), urls)
+                            for s in segs["segments"]])
     if len(ts):
         keep = ~np.isin(out.column("doc_id").to_numpy().astype(np.uint64), ts)
         out = out.filter(pa.array(keep))
@@ -252,6 +235,12 @@ def _file_delta_partial(path: str, ids_sorted: np.ndarray) -> pa.Table:
     })
 
 
+def _delta_partials(batch: pa.Table, ids_sorted: np.ndarray) -> pa.Table:
+    """map_batches body: ``_file_delta_partial`` of each ``path`` row."""
+    return pa.concat_tables([_file_delta_partial(p, ids_sorted)
+                             for p in batch.column("path").to_pylist()])
+
+
 # below this many pruned files the per-file partials run in a local loop
 # (a Ray stage's fixed scheduling cost exceeds the work)
 _DELTA_DRIVER_FILES = 8
@@ -269,9 +258,8 @@ def _stats_deltas_for(index_dir: str, segs: dict,
     is large. Cost is bounded by (files hit) x (row-group size), i.e. by
     the UPDATE batch and its locality, not the corpus — a fully scattered
     replaced set over a much larger corpus still degrades to a parallel
-    corpus pass (the documented limit; ``stats_mode="stale"`` is the
-    escape hatch there). The output delta table is bounded by the replaced
-    docs' distinct terms, never corpus-scale."""
+    corpus pass (the documented limit). The output delta table is bounded
+    by the replaced docs' distinct terms, never corpus-scale."""
     if len(doc_ids) == 0:
         return TERM_STATS_SCHEMA.empty_table()
     ids_sorted = np.sort(np.asarray(doc_ids, np.uint64))
@@ -294,22 +282,10 @@ def _stats_deltas_for(index_dir: str, segs: dict,
         import ray
         import ray.data
 
-        ids_ref = ray.put(ids_sorted)  # ship the id set once, not per task
-
-        def per_file(batch: pa.Table) -> pa.Table:
-            import ray as _ray
-            ids = _ray.get(ids_ref)
-            return pa.concat_tables([
-                _file_delta_partial(p, ids)
-                for p in batch.column("path").to_pylist()])
-
-        partials = ray.data.from_items(
+        partials = ray.get(ray.data.from_items(
             [{"path": p} for p in files]).map_batches(
-            per_file, batch_format="pyarrow").take_all()
-        partials = [pa.Table.from_pylist(
-            partials, schema=pa.schema([("term", pa.string()),
-                                        ("cnt", pa.int64()),
-                                        ("tot", pa.int64())]))]
+            _delta_partials, batch_format="pyarrow",
+            fn_kwargs={"ids_sorted": ids_sorted}).to_arrow_refs())
     nonempty = [p for p in partials if len(p)]
     if not nonempty:
         return TERM_STATS_SCHEMA.empty_table()
@@ -320,31 +296,37 @@ def _stats_deltas_for(index_dir: str, segs: dict,
         "term": agg.column("term"),
         "termfreq": pc.multiply(agg.column("cnt_sum").cast(pa.int64()), -1),
         "collfreq": pc.multiply(agg.column("tot_sum").cast(pa.int64()), -1),
-        "wdf_ub": pa.array([0] * len(agg), pa.int64()),  # ub never shrinks
+        "wdf_ub": pa.array([0] * len(agg), pa.int64()),  # bounds no wdf
     })
 
 
-def _write_fold(index_dir: str, segs: dict, gen: int, old_ids: np.ndarray,
-                stats_mode: str) -> str:
+def _write_fold(index_dir: str, segs: dict, gen: int,
+                old_ids: np.ndarray) -> str:
     """Write generation ``gen``'s record and fold (commit step 1 of the
     module docstring) over the committed state ``segs``; returns the
     fold's name. The fold's stats are the committed fold's rows plus the
-    NEGATIVE per-term deltas of ``old_ids`` (none in ``"stale"`` mode —
-    deferred to compaction), its dead ids the union of both. Atomic per
-    file; a re-run of the same generation rewrites the same files."""
+    NEGATIVE per-term deltas of ``old_ids``, its dead ids the union of
+    both. Atomic per file; a re-run of the same generation rewrites the
+    same files."""
     checkpoint.write_table(pa.table({"doc_id": pa.array(old_ids)}),
                            os.path.join(index_dir, "tombstones",
                                         f"gen-{gen:04d}.parquet"))
     prev = segs.get("fold")
     rel = os.path.join("folds", f"f-{gen:04d}")
-    deltas = (None if stats_mode == "stale"
-              else _stats_deltas_for(index_dir, segs, old_ids))
+    _put_fold(index_dir, rel, prev,
+              _stats_deltas_for(index_dir, segs, old_ids),
+              np.union1d(dead_ids(index_dir, prev), old_ids))
+    return rel
+
+
+def _put_fold(index_dir: str, rel: str, prev: str | None, stats: pa.Table,
+              dead: np.ndarray) -> None:
+    """Write fold ``rel``: the committed fold ``prev``'s stat rows plus
+    ``stats``, summed per term, and the sorted ``dead`` doc_ids."""
     merge_term_stats(fold_stats_files(index_dir, prev),
-                     os.path.join(index_dir, rel, "term_stats"), deltas)
-    dead = np.union1d(dead_ids(index_dir, prev), old_ids)
+                     os.path.join(index_dir, rel, "term_stats"), stats)
     checkpoint.write_table(pa.table({"doc_id": pa.array(dead, pa.uint64())}),
                            os.path.join(index_dir, rel, _FOLD_DEAD))
-    return rel
 
 
 def _commit(index_dir: str, segs: dict, g: dict, fold: str) -> None:
@@ -460,16 +442,24 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
     return int(keep.sum())
 
 
+def _merge_batch(batch: pa.Table, **kw) -> pa.Table:
+    """map_batches body: ``_merge_group`` of each item row, as
+    (kind, kept) rows."""
+    return pa.table({"kind": batch.column("kind"), "kept": pa.array(
+        [_merge_group(it, **kw) for it in batch.to_pylist()], pa.int64())})
+
+
 def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
-                    dead: np.ndarray, g: dict) -> dict:
+                    dead: np.ndarray, g: dict) -> tuple[dict, int]:
     """Write the merge of ``inputs`` (consecutive segments) into
     ``out_dir``: one independent group per posting partition and per
     tokenized file — no shuffle — run locally below
     ``_MERGE_DRIVER_BYTES`` of input and as Ray Data tasks above it (one
-    group function serves both); then the url map from the merged
-    tokenized rows. Term stats are the caller's: a policy merge sums the
-    inputs', ``compact`` recomputes them from the merged blocks. Returns
-    the merge's row counts for its ``_metrics.json``."""
+    batch function serves both); then the url map from the merged
+    tokenized rows, and the term stats and ``_manifest.jsonl`` from the
+    merged blocks, as the build takes them: exact, with a tight wdf_ub.
+    Returns the merge's row counts for its ``_metrics.json`` and the
+    max wdf_ub."""
     cfg = IndexConfig.from_gstats(g)
     seg_dirs = [os.path.join(index_dir, s) for s in inputs]
     tok_files = [f for d in seg_dirs
@@ -478,28 +468,17 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
              for k in range(cfg.num_term_parts * cfg.num_doc_buckets)]
     items += [{"kind": "tokenized", "key": i, "src": f}
               for i, f in enumerate(tok_files)]
-    common = (seg_dirs, out_dir, cfg, int(g["docs_per_bucket"]))
+    kw = {"dead": dead, "seg_dirs": seg_dirs, "out_dir": out_dir,
+          "cfg": cfg, "docs_per_bucket": int(g["docs_per_bucket"])}
     in_bytes = sum(os.path.getsize(f) for d in seg_dirs for f in
                    _parquet_files(os.path.join(d, "postings")) + tok_files)
     if in_bytes <= _MERGE_DRIVER_BYTES:
-        kept = [(it["kind"], _merge_group(it, dead, *common))
-                for it in items]
+        kept = _merge_batch(pa.Table.from_pylist(items), **kw).to_pylist()
     else:
-        import ray
         import ray.data
 
-        dead_ref = ray.put(dead)  # ship the id set once, not per task
-
-        def per_item(batch: pa.Table) -> pa.Table:
-            import ray as _ray
-            d = _ray.get(dead_ref)
-            return pa.table({"kind": batch.column("kind"), "kept": pa.array(
-                [_merge_group(it, d, *common) for it in batch.to_pylist()],
-                pa.int64())})
-
-        rows = ray.data.from_items(items).map_batches(
-            per_item, batch_format="pyarrow").take_all()
-        kept = [(r["kind"], r["kept"]) for r in rows]
+        kept = ray.data.from_items(items).map_batches(
+            _merge_batch, batch_format="pyarrow", fn_kwargs=kw).take_all()
     tok_dir = os.path.join(out_dir, "tokenized")
     schema = pq.read_schema(tok_files[0])
     if not _parquet_files(tok_dir):
@@ -508,16 +487,62 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
                                os.path.join(tok_dir, checkpoint.EMPTY_FILE))
     if "url" in schema.names:
         write_url_map(out_dir)
-    return {f"{kind}_rows_out": sum(n for k, n in kept if k == kind)
-            for kind in ("postings", "tokenized")}
+    partials, manifest = [], []
+    for k in range(cfg.num_term_parts * cfg.num_doc_buckets):
+        p = os.path.join(out_dir, "postings", f"part-{k:06d}.parquet")
+        if not os.path.exists(p):
+            continue  # nothing survived in this partition
+        blocks = pq.read_table(p, columns=["term", "n", "sum_wdf",
+                                           "max_wdf"])
+        partials.append(_stats_partial_from_blocks(blocks))
+        manifest += _manifest_row(
+            k, p, len(blocks), int(pc.sum(blocks.column("n")).as_py()),
+            os.path.getsize(p), resumed=False, seconds=0.0).to_pylist()
+    wdf_ub = merge_term_stats(
+        [], os.path.join(out_dir, "term_stats"),
+        pa.concat_tables(partials) if partials else None)
+    checkpoint.write_text("".join(json.dumps(r) + "\n" for r in manifest),
+                          os.path.join(out_dir, "_manifest.jsonl"))
+    return {f"{kind}_rows_out": sum(r["kept"] for r in kept
+                                    if r["kind"] == kind)
+            for kind in ("postings", "tokenized")}, wdf_ub
+
+
+def _write_merge_fold(index_dir: str, segs: dict, inputs: list[str],
+                      merged: str, fold: str) -> None:
+    """Write ``fold``: the committed fold with the docs the merge of
+    ``inputs`` into ``merged`` dropped moved out. Its stats are the
+    committed fold's rows plus D = the inputs' term stats minus the
+    merged segment's, per term (wdf_ub 0; ``merge_term_stats`` drops the
+    rows that sum to termfreq 0). Its dead ids are the committed fold's
+    minus those in the inputs' doc-id range, from their tokenized
+    footers."""
+    def stats(seg: str, sign: int) -> pa.Table:
+        t = pq.ParquetDataset(_parquet_files(os.path.join(
+            index_dir, seg, "term_stats"))).read()
+        return pa.table({"term": t.column("term"), **{
+            c: pc.multiply(t.column(c), sign) for c in ("termfreq",
+                                                        "collfreq")},
+            "wdf_ub": pa.array(np.zeros(len(t), np.int64))})
+
+    rng = [r for s in inputs for r in map(_file_doc_id_range, _parquet_files(
+        os.path.join(index_dir, s, "tokenized"))) if r is not None]
+    dead = dead_ids(index_dir, segs.get("fold"))
+    if rng:
+        lo, hi = min(r[0] for r in rng), max(r[1] for r in rng)
+        dead = dead[(dead < lo) | (dead > hi)]
+    _put_fold(index_dir, fold, segs.get("fold"),
+              pa.concat_tables([stats(s, 1) for s in inputs]
+                               + [stats(merged, -1)]), dead)
 
 
 def _merge_tail(index_dir: str, segs: dict) -> dict:
     """Apply the merge policy to the committed state ``segs``: when it
-    picks a run, write the merged segment, swap ``segments.json`` and
-    retire the inputs (the three commit steps of the module docstring).
-    Returns the committed state after it. A no-op on its own output, so
-    a re-run only redoes a merge a crash interrupted."""
+    picks a run, write the merged segment and its fold, swap
+    ``segments.json``, retire the inputs and delete the old fold (the
+    three commit steps of the module docstring). Returns the committed
+    state after it. A no-op on its own output, so a re-run only redoes a
+    merge a crash interrupted."""
     cand = segs["segments"][:-1]
     # docs each segment's generations added, dead ones included
     docs = dict(segs["segment_docs"])
@@ -526,28 +551,27 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
         return segs
     lo, hi = run
     inputs = cand[lo:hi]
-    rel = os.path.join("merged", f"m-{segs['next_gen'] - 1:04d}")
+    name = f"m-{segs['next_gen'] - 1:04d}"
+    rel, fold = os.path.join("merged", name), os.path.join("folds", name)
     t0 = time.perf_counter()
     out_dir = os.path.join(index_dir, rel)
     checkpoint.clear_dir(out_dir)
-    counts = _merge_segments(index_dir, inputs, out_dir,
-                             dead_ids(index_dir, segs.get("fold")),
-                             segs["global_stats"])
-    merge_term_stats(
-        [f for s in inputs
-         for f in _parquet_files(os.path.join(index_dir, s, "term_stats"))],
-        os.path.join(out_dir, "term_stats"))
+    counts, _ = _merge_segments(index_dir, inputs, out_dir,
+                                dead_ids(index_dir, segs.get("fold")),
+                                segs["global_stats"])
+    _write_merge_fold(index_dir, segs, inputs, rel, fold)
     checkpoint.write_text(json.dumps({
         "merge_s": round(time.perf_counter() - t0, 3),
         "merge_inputs": len(inputs), **counts}, indent=1),
         os.path.join(out_dir, "_metrics.json"))
     docs[rel] = sum(docs.pop(s) for s in inputs)
     segs = dict(segs, segments=segs["segments"][:lo] + [rel]
-                + segs["segments"][hi:], segment_docs=docs)
+                + segs["segments"][hi:], segment_docs=docs, fold=fold)
     checkpoint.write_text(json.dumps(segs, indent=1),
                           _segments_path(index_dir))
     for s in inputs:
         _retire(index_dir, s)
+    _clear_folds(index_dir, segs)
     return segs
 
 
@@ -555,8 +579,7 @@ def update_index(index_dir: str,
                  paths: list[str] | None = None,
                  dataset=None,
                  cfg: IndexConfig | None = None,
-                 dataset_fn=None,
-                 stats_mode: str = "exact") -> dict:
+                 dataset_fn=None) -> dict:
     """Upsert new/changed docs into an existing index. Input shape matches
     build_index (pages parquet paths, or a Dataset with url + text/html, or
     an already-tokenized Dataset). Docs whose url already exists replace the
@@ -571,20 +594,10 @@ def update_index(index_dir: str,
     ``assign_doc_ids``'s (url, content-hash) sort — the only all-to-all in
     the update path, now reserved for genuinely unordered in-memory input.
 
-    ``stats_mode``: ``"exact"`` (default) computes NEGATIVE per-term stat
-    deltas for the replaced docs by scanning their stored tokenized rows —
-    termfreq/collfreq stay exact but the scan is a (distributed,
-    file-pruned) pass over segments whose files intersect the replaced id
-    set. ``"stale"`` skips the scan: replaced docs' term contributions
-    remain counted until :func:`compact` (which rebuilds exact stats).
-    Stale termfreq/collfreq only ever OVER-count, so WAND bounds stay
-    valid, but BM25 idf on updated terms is slightly off until compaction
-    — the documented trillion-doc mode where any per-update corpus pass is
-    unaffordable. Tombstones are unaffected: match RESULTS are identical,
-    only scores on terms touching replaced docs drift."""
-    if stats_mode not in ("exact", "stale"):
-        raise ValueError(f"stats_mode must be 'exact' or 'stale', "
-                         f"got {stats_mode!r}")
+    The replaced docs' NEGATIVE per-term stat deltas come from their stored
+    tokenized rows (``_stats_deltas_for``: a distributed, file-pruned pass
+    over the files whose id range holds a replaced doc), so
+    termfreq/collfreq stay exact."""
     segs = load_segments(index_dir)
     g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
@@ -618,7 +631,7 @@ def update_index(index_dir: str,
     new_urls = new_tok.to_table(columns=["url"]).column("url").to_pylist()
     old = _live_url_ids(index_dir, segs, new_urls)
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
-    fold = _write_fold(index_dir, segs, gen, old_ids, stats_mode)
+    fold = _write_fold(index_dir, segs, gen, old_ids)
 
     # ---- exact merged global stats -----------------------------------------
     removed_doclen = int(pc.sum(old.column("doclen")).as_py() or 0)
@@ -643,17 +656,15 @@ def update_index(index_dir: str,
     return g
 
 
-def delete_documents(index_dir: str, urls: list[str],
-                     stats_mode: str = "exact") -> dict:
+def delete_documents(index_dir: str, urls: list[str]) -> dict:
     """Delete-by-url: the reference's delete-by-unique-key-term semantics
     (xapian WritableDatabase::delete_document(term) — public
     api/omdatabase.cc) as a tombstone-only generation. No segment is
     added: the LIVE (url -> doc_id) set resolves through the bucketed
     url maps (no corpus scan), those ids tombstone, NEGATIVE per-term
-    stat deltas keep termfreq/collfreq exact (``stats_mode="stale"``
-    defers them to compaction, same contract as update_index), and
-    global n_docs/avg_doclen update exactly from the deleted docs'
-    stored doclens. ``segments.json`` stays the atomic commit point:
+    stat deltas keep termfreq/collfreq exact, and global
+    n_docs/avg_doclen update exactly from the deleted docs' stored
+    doclens. ``segments.json`` stays the atomic commit point:
     a crash after the fold write but before the commit re-runs the
     SAME generation and recomputes the same set (an uncommitted
     generation's fold is never read). Returns the updated
@@ -663,9 +674,6 @@ def delete_documents(index_dir: str, urls: list[str],
     At trillion-doc scale callers batch the url list (the live lookup
     is bounded by |urls| x touched url-map buckets, never a corpus
     pass)."""
-    if stats_mode not in ("exact", "stale"):
-        raise ValueError(f"stats_mode must be 'exact' or 'stale', "
-                         f"got {stats_mode!r}")
     segs = load_segments(index_dir)
     g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
@@ -673,7 +681,7 @@ def delete_documents(index_dir: str, urls: list[str],
 
     old = _live_url_ids(index_dir, segs, list(urls))
     old_ids = old.column("doc_id").to_numpy().astype(np.uint64)
-    fold = _write_fold(index_dir, segs, gen, old_ids, stats_mode)
+    fold = _write_fold(index_dir, segs, gen, old_ids)
 
     removed_doclen = int(pc.sum(old.column("doclen")).as_py() or 0)
     n_docs = g["n_docs"] - len(old_ids)
@@ -692,9 +700,10 @@ def delete_documents(index_dir: str, urls: list[str],
 def compact(index_dir: str, out_dir: str) -> dict:
     """Merge every segment of the committed index minus its dead docs into
     a single-segment index in ``out_dir`` with the policy merge's kernel
-    (the xapian-compact analog; doc_ids are preserved). Its stats are
-    recomputed from what it wrote, so they are exact (a ``"stale"``
-    over-count is gone) and the bounds tight. Returns the global stats.
+    (the xapian-compact analog; doc_ids are preserved). Every dead doc
+    lies in an input, so no fold is left; the doc stats are recomputed
+    from what it wrote, so the bounds are tight. Returns the global
+    stats.
 
     ``out_dir`` must not be, hold or lie inside ``index_dir``
     (ValueError). Its ``segments.json`` is deleted first and written last,
@@ -705,32 +714,16 @@ def compact(index_dir: str, out_dir: str) -> dict:
                          f"overlap the index {index_dir!r}")
     t_start = time.perf_counter()
     segs = load_segments(index_dir)
-    cfg = IndexConfig.from_gstats(segs["global_stats"])
+    g = segs["global_stats"]
+    cfg = IndexConfig.from_gstats(g)
     if os.path.exists(_segments_path(out_dir)):
         os.remove(_segments_path(out_dir))
     for sub in _SEGMENT_DATA:
         checkpoint.clear_dir(os.path.join(out_dir, sub))
-    _merge_segments(index_dir, segs["segments"], out_dir,
-                    dead_ids(index_dir, segs.get("fold")),
-                    segs["global_stats"])
+    _, wdf_ub = _merge_segments(index_dir, segs["segments"], out_dir,
+                                dead_ids(index_dir, segs.get("fold")), g)
     metrics = {"merge": round(time.perf_counter() - t_start, 3)}
     gstats, next_doc_id = doc_stats(os.path.join(out_dir, "tokenized"))
-    gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS})
-    # exact per-term stats from the merged blocks, as the build takes them
-    partials, manifest = [], []
-    for k in range(cfg.num_term_parts * cfg.num_doc_buckets):
-        p = os.path.join(out_dir, "postings", f"part-{k:06d}.parquet")
-        if not os.path.exists(p):
-            continue  # nothing survived in this partition
-        blocks = pq.read_table(p, columns=["term", "n", "sum_wdf",
-                                           "max_wdf"])
-        partials.append(_stats_partial_from_blocks(blocks))
-        manifest += _manifest_row(
-            k, p, len(blocks), int(pc.sum(blocks.column("n")).as_py()),
-            os.path.getsize(p), resumed=False, seconds=0.0).to_pylist()
-    gstats["wdf_ub_global"] = merge_term_stats(
-        [], os.path.join(out_dir, "term_stats"),
-        pa.concat_tables(partials) if partials else None)
-    checkpoint.write_text("".join(json.dumps(r) + "\n" for r in manifest),
-                          os.path.join(out_dir, "_manifest.jsonl"))
+    gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS},
+                  wdf_ub_global=wdf_ub)
     return commit_build(out_dir, gstats, metrics, next_doc_id, t_start)

@@ -58,12 +58,11 @@ def _build(idx: str, rows, cfg: IndexConfig = CFG) -> None:
                 total_docs=len(rows))
 
 
-def _update(idx: str, rows, stats_mode: str = "exact") -> None:
+def _update(idx: str, rows) -> None:
     import ray.data
 
     base = up.load_segments(idx)["next_doc_id"]
-    up.update_index(idx, dataset=ray.data.from_arrow(_table(rows, base)),
-                    stats_mode=stats_mode)
+    up.update_index(idx, dataset=ray.data.from_arrow(_table(rows, base)))
 
 
 def _no_merge(monkeypatch):
@@ -142,9 +141,8 @@ def _check_stats(idx: str, want: dict[str, tuple[int, int, int]]) -> None:
 @pytest.mark.parametrize("ray_leg", [False, True])
 def test_term_stats_identity(ray_session, tmp_path, monkeypatch, ray_leg):
     """term_stats of every term and every 1-/2-character prefix equal a
-    brute-force count over the live tokenized rows after a build, 3 exact
-    updates, a stale update (which over-counts exactly the docs it
-    replaced), a delete, a merge and compact — on both legs of
+    brute-force count over the live tokenized rows after a build, 4
+    updates, a delete, a merge and compact — on both legs of
     merge_term_stats."""
     if ray_leg:
         monkeypatch.setattr(build_mod, "TERM_STATS_DRIVER_ROWS", 0)
@@ -158,31 +156,115 @@ def test_term_stats_identity(ray_session, tmp_path, monkeypatch, ray_leg):
         assert len(up._parquet_files(os.path.join(idx, "term_stats"))) > 1
     _check_stats(idx, docs.stats(docs.live()))
 
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 4):
         _update(idx, _batch(g))
         docs.add_segment(os.path.join(idx, "updates", f"gen-{g:04d}"))
     _check_stats(idx, docs.stats(docs.live()))
 
-    # stale: the docs gen 4 replaces stay counted, until compact
-    before = set(docs.dead)
-    _update(idx, _batch(4), stats_mode="stale")
-    docs.add_segment(os.path.join(idx, "updates", "gen-0004"))
-    stale = docs.dead - before
-    assert stale
-    _check_stats(idx, docs.stats(docs.live() | stale))
-
     assert docs.delete(["u5", "n1"])
     up.delete_documents(idx, ["u5", "n1"])
-    _check_stats(idx, docs.stats(docs.live() | stale))
+    _check_stats(idx, docs.stats(docs.live()))
 
     segs = up.load_segments(idx)
     real_merge(idx, segs)
     assert len(up.load_segments(idx)["segments"]) < len(segs["segments"])
-    _check_stats(idx, docs.stats(docs.live() | stale))
+    _check_stats(idx, docs.stats(docs.live()))
 
     out = str(tmp_path / "compacted")
     up.compact(idx, out)
     _check_stats(out, docs.stats(docs.live()))
+
+
+def _stats_dict(t: pa.Table) -> dict[str, tuple[int, int, int]]:
+    """TERM_STATS_SCHEMA rows as {term: (termfreq, collfreq, wdf_ub)},
+    each term once."""
+    terms = t.column("term").to_pylist()
+    assert len(set(terms)) == len(terms)
+    return dict(zip(terms, zip(*(t.column(c).to_pylist() for c in
+                                 ("termfreq", "collfreq", "wdf_ub")))))
+
+
+def _own_block_stats(seg_dir: str) -> dict[str, tuple[int, int, int]]:
+    """A segment's per-term stats taken from its own posting blocks."""
+    parts = [build_mod._stats_partial_from_blocks(pq.read_table(p))
+             for p in up._parquet_files(os.path.join(seg_dir, "postings"))]
+    out: dict[str, list[int]] = {}
+    for term, (tf, cf, wub) in (
+            kv for t in parts for kv in _stats_dict(t).items()):
+        cur = out.setdefault(term, [0, 0, 0])
+        cur[0] += tf
+        cur[1] += cf
+        cur[2] = max(cur[2], wub)
+    return {t: tuple(v) for t, v in out.items()}
+
+
+def _on_disk(idx: str, segs: dict) -> set[int]:
+    """The doc_ids in the listed segments' tokenized rows."""
+    return {d for s in segs["segments"] for d in pads.dataset(
+        os.path.join(idx, s, "tokenized")).to_table(
+        columns=["doc_id"]).column("doc_id").to_pylist()}
+
+
+def _superseded(idx: str, segs: dict) -> set[int]:
+    """The doc_ids on disk whose url has a newer version on disk."""
+    newest: dict[str, int] = {}
+    ids = []
+    for s in segs["segments"]:
+        t = pads.dataset(os.path.join(idx, s, "tokenized")).to_table(
+            columns=["doc_id", "url"])
+        for d, u in zip(*(t.column(c).to_pylist() for c in ("doc_id",
+                                                            "url"))):
+            ids.append(d)
+            newest[u] = max(newest.get(u, d), d)
+    return set(ids) - set(newest.values())
+
+
+def _check_invariant(idx: str, docs: _Docs) -> None:
+    """Every listed segment's term stats are its own blocks' stats, and
+    the fold holds exactly the dead docs still on disk: their ids, and
+    minus their brute-force stats (wdf_ub 0)."""
+    segs = up.load_segments(idx)
+    for s in segs["segments"]:
+        seg_dir = os.path.join(idx, s)
+        assert _stats_dict(pq.ParquetDataset(up._parquet_files(
+            os.path.join(seg_dir, "term_stats"))).read()) == \
+            _own_block_stats(seg_dir), s
+    present = docs.dead & _on_disk(idx, segs)
+    fold = segs["fold"]
+    assert up.dead_ids(idx, fold).tolist() == sorted(present)
+    assert _stats_dict(pq.ParquetDataset(
+        up.fold_stats_files(idx, fold)).read()) == {
+        t: (-tf, -cf, 0) for t, (tf, cf, _) in docs.stats(present).items()}
+
+
+def test_segment_stats_from_own_blocks(ray_session, tmp_path):
+    """32 generations of updates and deletes with the real merge policy:
+    after each, every listed segment's term stats equal its own blocks'
+    stats, the fold holds exactly the dead docs still on disk, and the
+    reader's stats equal a brute-force count over the live docs."""
+    idx = str(tmp_path / "idx")
+    docs = _Docs()
+    _build(idx, _base_rows(12))
+    docs.add_segment(idx)
+    merged = 0
+    for g in range(1, 33):
+        if g % 4 == 0:
+            urls = [f"u{g % 12}", f"n{g - 3}", "nosuchurl"]
+            docs.delete(urls)
+            up.delete_documents(idx, urls)
+        else:
+            _update(idx, [(f"n{g}", f"alpha rev gamma new{g} gala"),
+                          (f"u{(g * 5) % 12}", f"beta rev{g} alps alto"
+                           + " alpha" * (g % 3))])
+            docs.add_segment(os.path.join(idx, "updates", f"gen-{g:04d}"))
+        _check_invariant(idx, docs)
+        live = docs.stats(docs.live())
+        assert {t: (s["termfreq"], s["collfreq"]) for t, s in
+                IndexReader(idx).all_term_stats().items()} == \
+            {t: (tf, cf) for t, (tf, cf, _) in live.items()}, g
+        merged += any(s.startswith("merged")
+                      for s in up.load_segments(idx)["segments"])
+    assert merged  # the policy merged along the way
 
 
 # ---- crash matrix ------------------------------------------------------------
@@ -289,10 +371,17 @@ def test_cold_reads_bounded_by_segments(ray_session, tmp_path, monkeypatch):
 
     idx = str(tmp_path / "idx")
     _build(idx, _base_rows(10))
-    counts = {}
+    counts, first, base_merges = {}, ".", 0
     for g in range(1, 31):
         _update(idx, [(f"n{g}", f"alpha rev gamma new{g}"),
                       (f"u{g % 10}", f"beta rev{g} alpha")])
+        segs = up.load_segments(idx)
+        if segs["segments"][0] != first:
+            # a merge took in the base: every dead doc was in its inputs
+            first, base_merges = segs["segments"][0], base_merges + 1
+            assert len(up.dead_ids(idx, segs["fold"])) == 0, g
+            assert sum(pq.read_metadata(f).num_rows for f in
+                       up.fold_stats_files(idx, segs["fold"])) == 0, g
         if g % 10:
             continue
         r = IndexReader(idx)
@@ -304,8 +393,10 @@ def test_cold_reads_bounded_by_segments(ray_session, tmp_path, monkeypatch):
             stats = r.term_stats(["alpha", "gamma", f"rev{g}"],
                                  prefixes=["new", "re"])
             dead = r.tombstones
-        # every base url replaced by gen 10; one doc dies per generation
-        assert stats["alpha"]["termfreq"] == 10 + g and len(dead) == g
+        # every base url replaced by gen 10; one doc dies per generation,
+        # and the fold keeps only the dead docs still on disk
+        assert stats["alpha"]["termfreq"] == 10 + g
+        assert dead.tolist() == sorted(_superseded(idx, segs))
         fold = os.path.join(idx, r.fold)
         assert sorted(opened) == sorted(
             [os.path.join(idx, s, "term_stats", "part-000000.parquet")
@@ -315,3 +406,4 @@ def test_cold_reads_bounded_by_segments(ray_session, tmp_path, monkeypatch):
         counts[g] = (len(opened), len(r.segments))
     assert all(n == s + 2 for n, s in counts.values()), counts
     assert max(s for _, s in counts.values()) <= 4, counts
+    assert base_merges >= 2

@@ -53,18 +53,17 @@ def _build(idx: str, rows, cfg: IndexConfig) -> None:
                 total_docs=len(rows))
 
 
-def _update(idx: str, g: int, stats_mode: str = "exact") -> None:
+def _update(idx: str, g: int) -> None:
     import ray.data
 
     base = up.load_segments(idx)["next_doc_id"]
-    up.update_index(idx, dataset=ray.data.from_arrow(_table(_batch(g), base)),
-                    stats_mode=stats_mode)
+    up.update_index(idx, dataset=ray.data.from_arrow(_table(_batch(g), base)))
 
 
-def _hits(idx: str, qcfg: QueryConfig = QCFG) -> list[dict]:
+def _hits(idx: str) -> list[dict]:
     out = []
     for node in QUERIES:
-        t = qx.search(idx, node, qcfg, distributed=False, with_urls=True)
+        t = qx.search(idx, node, QCFG, distributed=False, with_urls=True)
         out.append({u: round(s, 9) for u, s in zip(
             t.column("url").to_pylist(), t.column("score").to_pylist())})
     return out
@@ -82,6 +81,27 @@ def _reader_view(idx: str) -> dict:
     for b in range(r.S):
         view[f"bucket{b}"] = r.doc_ids_in_bucket(b).tolist()
     return view
+
+
+def _without_wdf_ub(view: dict) -> dict:
+    return dict(view, stats={t: (s["termfreq"], s["collfreq"])
+                             for t, s in view["stats"].items()})
+
+
+def _live_max_wdf(idx: str) -> dict[str, int]:
+    """Brute-force max wdf per term over the live tokenized rows."""
+    segs = up.load_segments(idx)
+    dead = set(up.dead_ids(idx, segs["fold"]).tolist())
+    out: dict[str, int] = {}
+    for p in (f for s in segs["segments"] for f in
+              up._parquet_files(os.path.join(idx, s, "tokenized"))):
+        t = pq.read_table(p, columns=["doc_id", "terms", "tfs"])
+        for d, terms, tfs in zip(*(t.column(c).to_pylist()
+                                   for c in t.column_names)):
+            if d not in dead:
+                for term, tf in zip(terms, tfs):
+                    out[term] = max(out.get(term, 0), tf)
+    return out
 
 
 def _no_merge(monkeypatch):
@@ -181,17 +201,17 @@ def _written(idx: str) -> dict:
     pytest.param("varint", False, False, "updates", id="varint-False-False"),
     pytest.param("bitpack", True, False, "updates", id="bitpack-True-False"),
     pytest.param("varint", True, True, "updates", id="varint-True-True"),
-    pytest.param("varint", False, False, "stale", id="stale-update"),
     pytest.param("bitpack", False, False, "all-deleted", id="all-deleted"),
 ])
 def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
                         positions, ray_leg, history):
-    """A merge changes no answer of the reader (term stats of every term,
-    urls, payloads, bucket universes, search hits), and compact() writes
-    what a from-scratch build of the live tokenized rows writes: postings,
-    term stats, url map, tokenized rows, global stats and next doc_id.
-    ``history``: 4 updates; the same with generation 2 in
-    ``stats_mode="stale"``; or 4 updates, then every url deleted."""
+    """A merge changes no answer of the reader (termfreq and collfreq of
+    every term, urls, payloads, bucket universes, search hits) and
+    tightens each wdf_ub to between the live max wdf and its old value;
+    compact() writes what a from-scratch build of the live tokenized rows
+    writes: postings, term stats, url map, tokenized rows, global stats
+    and next doc_id. ``history``: 4 updates, or 4 updates, then every url
+    deleted."""
     if ray_leg:
         monkeypatch.setattr(up, "_MERGE_DRIVER_BYTES", 0)
     cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
@@ -202,18 +222,13 @@ def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
     with monkeypatch.context() as m:
         _no_merge(m)
         for g in range(1, 5):
-            _update(idx, g, "stale" if history == "stale" and g == 2
-                    else "exact")
+            _update(idx, g)
         if history == "all-deleted":
             up.delete_documents(idx, [f"u{i}" for i in range(10)]
                                 + [f"n{g}" for g in range(1, 5)])
     segs = up.load_segments(idx)
     assert len(segs["segments"]) == 5
-    # classic BM25's idf is undefined where a stale termfreq exceeds
-    # n_docs ('alpha' after the stale generation): score that case with
-    # the xapian profile, whose idf floor keeps it defined
-    qcfg = QueryConfig(k=100) if history == "stale" else QCFG
-    before, hits = _reader_view(idx), _hits(idx, qcfg)
+    before, hits = _reader_view(idx), _hits(idx)
     if positions:
         phrase = qx.search(idx, Phrase(("alpha", "alpha")), QCFG,
                            distributed=False)
@@ -239,8 +254,11 @@ def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
     up._merge_tail(idx, segs)
     merged = os.path.join("merged", f"m-{segs['next_gen'] - 1:04d}")
     assert up.load_segments(idx)["segments"] == [merged, "updates/gen-0004"]
-    assert _reader_view(idx) == before
-    assert _hits(idx, qcfg) == hits
+    after, live_wdf = _reader_view(idx), _live_max_wdf(idx)
+    for t, s in after["stats"].items():
+        assert live_wdf[t] <= s["wdf_ub"] <= before["stats"][t]["wdf_ub"], t
+    assert _without_wdf_ub(after) == _without_wdf_ub(before)
+    assert _hits(idx) == hits
     with open(os.path.join(idx, merged, "_metrics.json")) as f:
         m = json.load(f)
     # 16 docs written by the base and gens 1-3, 4 base docs replaced by
@@ -279,7 +297,9 @@ def _orphans(idx: str) -> list[str]:
 
 
 def _state(idx: str) -> tuple:
-    return _hits(idx), IndexReader(idx).all_term_stats(), _data_files(idx)
+    r = IndexReader(idx)
+    return (_hits(idx), r.all_term_stats(), r.tombstones.tolist(),
+            _data_files(idx))
 
 
 def _run_failing(monkeypatch, fn, fail_at: int | None = None) -> int:
@@ -305,10 +325,11 @@ def _run_failing(monkeypatch, fn, fail_at: int | None = None) -> int:
 
 
 def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
-    """Fail the k-th checkpoint write of a merge, for every k (and the
-    retirement after the swap), then run the next update_index: hits,
-    term stats and the data files equal an uninterrupted run, and no
-    orphan data directory is left."""
+    """Fail the k-th checkpoint write of a merge (its segment, its fold
+    and the swap), for every k (and the retirement after the swap), then
+    run the next update_index: hits, term stats, the fold's dead ids and
+    the data files equal an uninterrupted run, and no orphan data
+    directory or fold is left."""
     cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
                       num_doc_buckets=1, block_size=4)
     prep = str(tmp_path / "prep")
@@ -325,6 +346,7 @@ def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
     def finish(idx: str) -> tuple:
         _update(idx, 8)  # redoes the interrupted merge first
         assert _orphans(idx) == []
+        assert os.listdir(os.path.join(idx, "folds")) == ["f-0008"]
         return _state(idx)
 
     def merge_with(idx: str, fail_at) -> int:
@@ -334,8 +356,12 @@ def test_merge_crash_at_every_write(ray_session, tmp_path, monkeypatch):
     clean = str(tmp_path / "clean")
     shutil.copytree(prep, clean)
     n_writes = merge_with(clean, None)
-    assert up.load_segments(clean)["segments"] == [
+    segs = up.load_segments(clean)
+    assert segs["segments"] == [
         "merged/m-0004", "merged/m-0007", "updates/gen-0007"]
+    # the fold moved out the docs the merge dropped
+    assert segs["fold"] == "folds/m-0007"
+    assert os.listdir(os.path.join(clean, "folds")) == ["m-0007"]
     want = finish(clean)
     assert len(up.load_segments(clean)["segments"]) == 4
     assert n_writes > 5

@@ -16,8 +16,6 @@ from markdown_query_ray.index.build import build_index
 from markdown_query_ray.index.reader import IndexReader
 from markdown_query_ray.index.update import (
     compact,
-    dead_ids,
-    fold_stats_files,
     load_segments,
     update_index,
 )
@@ -598,49 +596,6 @@ def test_positional_update_and_compact_rank_identity(ray_session, tmp_path):
                                rtol=1e-9), (which, node)
 
 
-def test_update_stale_stats_mode(base_index, tmp_path):
-    """stats_mode="stale" skips the replaced-docs stats scan: match SETS
-    stay exact (tombstones are independent of stats), replaced docs'
-    termfreq remains counted until compact() restores exactness."""
-    import json
-
-    import ray.data
-
-    idx, rows = base_index
-    p = str(tmp_path / "upd.parquet")
-    _pages([("u3", "alpha delta replaced"), ("u100", "delta newcomer")],
-           p, base_id=20)
-    update_index(idx, dataset=ray.data.read_parquet(p), stats_mode="stale")
-
-    # match sets identical to exact mode (u3's old version is tombstoned)
-    assert _search_ids(idx, "delta") == {20, 21}
-    gamma_ids = _search_ids(idx, "gamma")
-    assert 3 not in gamma_ids
-    # stale: the committed fold holds the dead doc 3 but no stat delta,
-    # and 'gamma' termfreq still counts it (overcount => WAND bounds stay
-    # valid)
-    fold = load_segments(idx)["fold"]
-    files = fold_stats_files(idx, fold)
-    assert files and sum(pq.read_metadata(f).num_rows for f in files) == 0
-    assert dead_ids(idx, fold).tolist() == [3]
-    r = IndexReader(idx)
-    n_gamma_docs = len([1 for i in range(20) if i % 2])
-    assert r.term_stats(["gamma"])["gamma"]["termfreq"] == n_gamma_docs
-
-    # compact folds back to exact stats
-    out = str(tmp_path / "cidx")
-    compact(idx, out)
-    rc = IndexReader(out)
-    assert rc.term_stats(["gamma"])["gamma"]["termfreq"] == n_gamma_docs - 1
-    assert _search_ids(out, "delta") == {20, 21}
-
-
-def test_update_invalid_stats_mode(base_index, tmp_path):
-    idx, _ = base_index
-    with pytest.raises(ValueError, match="stats_mode"):
-        update_index(idx, dataset=None, paths=[], stats_mode="bogus")
-
-
 def test_update_dataset_fn_file_rank_ids(base_index, tmp_path):
     """File-backed updates via dataset_fn skip the assign_doc_ids sort:
     ids continue the index's id space in (file order, record order), are
@@ -824,14 +779,3 @@ def test_compact_after_delete(base_index, tmp_path):
     assert _search_ids(out, "alpha") == set(range(20)) - {1, 18}
     assert _scores(idx, ["alpha", "gamma"]) == \
         _scores(out, ["alpha", "gamma"])
-
-
-def test_delete_stale_mode_same_matches(base_index, tmp_path):
-    """stats_mode='stale' returns identical MATCH SETS (tombstones are
-    exact); only idf on touched terms drifts until compaction."""
-    from markdown_query_ray.index.update import delete_documents
-
-    idx, rows = base_index
-    delete_documents(idx, ["u6"], stats_mode="stale")
-    assert _search_ids(idx, "alpha") == set(range(20)) - {6}
-    assert _search_ids(idx, "doc6") == set()

@@ -63,9 +63,12 @@ def test_lookup_matches_tokenized_scan(built):
 
 
 def test_lookup_falls_back_when_absent(built, tmp_path):
+    """A segment without a complete url map has no tokenized-scan
+    fallback: the lookup raises rather than find nothing."""
     from markdown_query_ray.index.build import url_map_lookup
 
-    assert url_map_lookup(str(tmp_path), ["https://a.example/1"]) is None
+    with pytest.raises(FileNotFoundError, match="url map"):
+        url_map_lookup(str(tmp_path), ["https://a.example/1"])
 
 
 def test_update_uses_map_and_stays_exact(built, ray_session):
@@ -97,7 +100,8 @@ def test_url_map_regenerates_on_resume(built, ray_session):
     from markdown_query_ray.index.build import build_index, url_map_lookup
 
     shutil.rmtree(os.path.join(built, "url_map"))
-    assert url_map_lookup(built, ["u"]) is None  # fallback signalled
+    with pytest.raises(FileNotFoundError):
+        url_map_lookup(built, ["u"])
     from markdown_query_ray.config import IndexConfig
 
     # re-run the build: tokenized staging short-circuits via _SUCCESS, so
@@ -114,4 +118,4 @@ def test_url_map_regenerates_on_resume(built, ray_session):
     t = pads.dataset(tok).to_table(columns=["url"])
     urls = t.column("url").to_pylist()[:5]
     got = url_map_lookup(built, urls)
-    assert got is not None and got.num_rows == 5
+    assert got.num_rows == 5
