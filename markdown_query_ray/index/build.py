@@ -29,6 +29,18 @@ groups whose output file exists — the per-partition checkpoint/resume story
 (the reference's analog is idempotent upsert-by-key,
 backends/database.cc:193-208). Every write and commit marker goes through
 ``markdown_query_ray/checkpoint.py``.
+
+One set of stage callables, two executors. The plan above is the Ray
+leg. A ``paths`` build whose files hold at most ``DRIVER_BUILD_BYTES``
+takes the driver leg instead: the same callables on Arrow tables in a
+local loop — ``_ReadShard`` over the (path, base) control rows,
+``extract_batch``, ``TokenizeStage`` per ``tokenize_batch_size`` slice
+(one ``tokenized/`` file, one row group per slice),
+``PartialPostingsStage`` per ``postings_batch_size`` slice, one
+``encode_write_group`` per ``skey``, then the driver-side url map, doc
+stats and term-stats merge. At update-batch size Ray Data's per-job
+fixed costs exceed the work; both legs write the same postings and term
+stats byte for byte. Dataset inputs always take the Ray leg.
 """
 
 from __future__ import annotations
@@ -43,7 +55,8 @@ import pyarrow.parquet as pq
 
 from .. import checkpoint
 from ..config import RECORDED_SETTINGS, IndexConfig
-from ..sources.pages import file_row_counts, read_pages
+from ..sources.pages import _ReadShard, file_row_counts, read_pages, \
+    shard_control
 from ..stages.extract import extract_batch
 from ..stages.tokenize import TokenizeStage, staging_schema
 from .codec import (
@@ -178,6 +191,17 @@ def _manifest_row(skey: int, path: str, n_blocks: int, n_postings: int,
         "resumed": resumed}], schema=_MANIFEST_SCHEMA)
 
 
+# a ``paths`` build whose files hold at most this many bytes runs its stage
+# callables on Arrow tables in the driver (the driver leg); above it, and
+# for every Dataset input, as the Ray Data plan. A warm 4-CPU A/B
+# (refresh config, fixture pages of ~4.7 KB) puts the build-wall crossover
+# near 20 MiB: the driver leg took 0.62 s against 1.00 at 300 pages
+# (1.5 MB), 3.86 against 4.30 at 3,500 (16.5 MB) and 4.97 against 4.81 at
+# 4,500 (21.0 MB). But a Ray session whose builds all ran here has no
+# worker with the engine imported, and its first distributed search pays
+# that (0.77 s against 0.10). So the leg is kept to update-batch size,
+# below a typical base build
+DRIVER_BUILD_BYTES = 4 << 20
 URL_MAP_BUCKETS = 64
 # below this many rows the url map is written in one local pass (the Ray
 # shuffle's fixed cost exceeds the work); above it, a bucket groupby.
@@ -426,18 +450,22 @@ def _doclen_partial(batch: pa.Table) -> pa.Table:
     return pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
 
 
-def doc_stats(tok_dir: str) -> tuple[dict, int]:
+def doc_stats(tok_dir: str, local: bool = False) -> tuple[dict, int]:
     """(n_docs, total_doclen, doclen_lb/ub, avg_doclen) of the docs in
-    ``tok_dir``'s files, and the next free doc_id: a task-pool map over
-    the files, one partial row each, folded on the driver. Compacted
-    indexes keep doc_ids across tombstone holes, so the next free id is
-    max(live id)+1, NOT n_docs (which may be a live id)."""
-    import ray.data
+    ``tok_dir``'s files, and the next free doc_id: one partial row per
+    file — a task-pool map, or with ``local`` a driver loop — folded on
+    the driver. Compacted indexes keep doc_ids across tombstone holes, so
+    the next free id is max(live id)+1, NOT n_docs (which may be a live
+    id)."""
+    files = [{"path": os.path.join(tok_dir, f)} for f in sorted(
+        os.listdir(tok_dir)) if f.endswith(".parquet")]
+    if local:
+        partials = _doclen_partial(pa.Table.from_pylist(files)).to_pylist()
+    else:
+        import ray.data
 
-    partials = ray.data.from_items(
-        [{"path": os.path.join(tok_dir, f)} for f in sorted(
-            os.listdir(tok_dir)) if f.endswith(".parquet")]).map_batches(
-        _doclen_partial, batch_format="pyarrow").take_all()
+        partials = ray.data.from_items(files).map_batches(
+            _doclen_partial, batch_format="pyarrow").take_all()
 
     def fold(key: str, fn) -> int:
         vals = [r[key] for r in partials if r[key] is not None]
@@ -473,22 +501,98 @@ def commit_build(out_dir: str, gstats: dict, metrics: dict,
     return gstats
 
 
+def _tokenize_dataset(paths: list[str] | None, dataset, cfg: IndexConfig,
+                      id_base: int):
+    """The Ray leg's stage 1 plan: read (or take) the input, attach ids,
+    extract and tokenize on an actor pool."""
+    import ray
+
+    if dataset is None:
+        ds = read_pages(paths, columns=["url", "html"], id_base=id_base)
+    else:
+        ds = dataset
+        names = ds.schema().names
+        if "doc_id" not in names and "terms" not in names:
+            # url+text/html dataset without ids (the documented input
+            # shape): assign deterministic ids by url rank
+            from ..sources.pages import assign_doc_ids
+            ds = assign_doc_ids(ds, id_base=id_base)
+    if "terms" in ds.schema().names:
+        return ds  # caller already tokenized (e.g. field-prefix stage)
+    if "html" in ds.schema().names:
+        ds = ds.map_batches(extract_batch, batch_format="pyarrow")
+    # size the actor pool to the cluster rather than letting the
+    # autoscaling pool ramp up from its minimum — on a short job the
+    # ramp-up IS the job
+    concurrency = cfg.tokenize_concurrency
+    if concurrency is None:
+        # exactly the cluster's CPUs: max(2, ...) would oversubscribe a
+        # 1-CPU cluster and skew scaling measurements
+        concurrency = max(1, int(ray.cluster_resources().get("CPU", 2)))
+    return ds.map_batches(
+        TokenizeStage(cfg), batch_format="pyarrow",
+        batch_size=cfg.tokenize_batch_size, concurrency=concurrency)
+
+
+def _tokenize_local(paths: list[str], id_base: int,
+                    cfg: IndexConfig) -> pa.Table:
+    """The Ray plan's read, extract and tokenize callables run on the
+    driver: ``_ReadShard`` over the (path, base) control rows, then
+    ``extract_batch``, then ``TokenizeStage`` in ``tokenize_batch_size``
+    slices. Rows come out in doc_id order."""
+    stage, step = TokenizeStage(cfg), cfg.tokenize_batch_size
+    tabs = [stage(t.slice(i, step))
+            for t in map(extract_batch, _ReadShard(["url", "html"])(
+                pa.Table.from_pylist(shard_control(paths, id_base))))
+            for i in range(0, len(t), step)]
+    return pa.concat_tables(tabs) if tabs \
+        else staging_schema(cfg).empty_table()
+
+
+def _encode_local(tok: pa.Table, out_dir: str, cfg: IndexConfig,
+                  docs_per_bucket: int) -> pa.Table:
+    """The Ray plan's shuffle on the driver: ``PartialPostingsStage`` in
+    ``postings_batch_size`` slices, then one ``encode_write_group`` per
+    ``skey``. Returns the manifest rows."""
+    stage, step = PartialPostingsStage(cfg, docs_per_bucket), \
+        cfg.postings_batch_size
+    tabs = [stage(tok.slice(i, step)) for i in range(0, len(tok), step)]
+    if not tabs:
+        return _MANIFEST_SCHEMA.empty_table()
+    posts = pa.concat_tables(tabs)
+    posts = posts.take(pc.sort_indices(posts, [("skey", "ascending")]))
+    skeys = posts.column("skey").to_numpy()
+    cuts = [0, *(np.flatnonzero(np.diff(skeys)) + 1), len(skeys)]
+    rows = [encode_write_group(posts.slice(a, b - a), out_dir, cfg,
+                               docs_per_bucket)
+            for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    return pa.concat_tables(rows) if rows \
+        else _MANIFEST_SCHEMA.empty_table()
+
+
 def build_index(out_dir: str,
                 paths: list[str] | None = None,
                 dataset=None,
                 cfg: IndexConfig | None = None,
                 total_docs: int | None = None,
-                id_base: int = 0) -> dict:
+                id_base: int = 0,
+                docs_per_bucket: int | None = None) -> dict:
     """Build the full index under ``out_dir``. Input is either ``paths``
     (pages-shaped parquet: url, warc_ts, html, text, lang) or ``dataset``
     (a Ray Dataset carrying text or html plus either a ``doc_id`` column
-    or a ``url`` to derive deterministic ids from; ``id_base`` offsets
-    derived ids — updates continue the id space).
+    or a ``url`` to derive deterministic ids from). ``id_base`` offsets
+    the doc_ids of ``paths`` and the derived ids of ``dataset`` — updates
+    continue the id space. ``docs_per_bucket`` is the doc-bucket stripe
+    width; by default ceil(total_docs / S) (a ``paths`` build counts its
+    rows), else ``cfg.docs_per_bucket``. An update passes its index's
+    recorded width, so the delta's stripes match the merge's and the
+    reader's.
+
+    ``paths`` of at most ``DRIVER_BUILD_BYTES`` on disk build on the
+    driver (the module docstring's two legs).
 
     Returns the global stats dict. Ray must already be initialised by the
     caller (the driver owns the session)."""
-    import ray.data
-
     cfg = cfg or IndexConfig()
     os.makedirs(out_dir, exist_ok=True)
     tok_dir = os.path.join(out_dir, "tokenized")
@@ -498,51 +602,36 @@ def build_index(out_dir: str,
     def _mark(stage: str, t0: float) -> None:
         metrics[stage] = round(time.perf_counter() - t0, 3)
 
-    if paths is not None and total_docs is None:
-        total_docs = sum(file_row_counts(sorted(paths)))
-    docs_per_bucket = (
-        max(1, -(-int(total_docs) // cfg.num_doc_buckets))
-        if total_docs else cfg.docs_per_bucket)
+    if paths is not None:
+        paths = sorted(paths)
+    local = dataset is None and sum(
+        os.path.getsize(p) for p in paths) <= DRIVER_BUILD_BYTES
+    if docs_per_bucket is None:
+        if paths is not None and total_docs is None:
+            total_docs = sum(file_row_counts(paths))
+        docs_per_bucket = (
+            max(1, -(-int(total_docs) // cfg.num_doc_buckets))
+            if total_docs else cfg.docs_per_bucket)
 
     # ---- stage 1: extract + tokenize -> staging checkpoint -----------------
     t0 = time.perf_counter()
+    tok = None
     if not checkpoint.is_done(tok_dir, "_SUCCESS"):
         # a crash mid-write leaves partial staging files with no _SUCCESS;
-        # write_dataset clears them before rewriting
-        if dataset is None:
-            ds = read_pages(sorted(paths), columns=["url", "html"])
+        # both legs clear them before rewriting
+        if local:
+            tok = _tokenize_local(paths, id_base, cfg)
+            checkpoint.clear_dir(tok_dir)
+            # row groups of one tokenize batch keep _stats_deltas_for's
+            # footer pruning as fine as the Ray leg's
+            checkpoint.write_table(
+                tok, os.path.join(tok_dir, "part-000000.parquet"),
+                row_group_size=cfg.tokenize_batch_size)
         else:
-            ds = dataset
-            names = ds.schema().names
-            if "doc_id" not in names and "terms" not in names:
-                # url+text/html dataset without ids (the documented input
-                # shape): assign deterministic ids by url rank
-                from ..sources.pages import assign_doc_ids
-                ds = assign_doc_ids(ds, id_base=id_base)
-        if "terms" in ds.schema().names:
-            tok = ds  # caller already tokenized (e.g. field-prefix stage)
-        else:
-            if "html" in ds.schema().names:
-                ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-            # size the actor pool to the cluster rather than letting the
-            # autoscaling pool ramp up from its minimum — on a short job
-            # the ramp-up IS the job
-            concurrency = cfg.tokenize_concurrency
-            if concurrency is None:
-                # exactly the cluster's CPUs: max(2, ...) would oversubscribe
-                # a 1-CPU cluster and skew scaling measurements
-                concurrency = max(
-                    1, int(ray.cluster_resources().get("CPU", 2)))
-            tok = ds.map_batches(
-                TokenizeStage(cfg), batch_format="pyarrow",
-                batch_size=cfg.tokenize_batch_size,
-                concurrency=concurrency)
-        checkpoint.write_dataset(tok, tok_dir, staging_schema(cfg))
+            checkpoint.write_dataset(_tokenize_dataset(
+                paths, dataset, cfg, id_base), tok_dir, staging_schema(cfg))
         checkpoint.mark_done(tok_dir, "_SUCCESS")
     _mark("extract_tokenize", t0)
-
-    tokds = ray.data.read_parquet(tok_dir,
-                                  file_extensions=["parquet"])
 
     # ---- stage 1b: url -> (doc_id, doclen) hash-bucketed map ---------------
     # Updates look up replaced urls here instead of scanning every segment's
@@ -550,8 +639,9 @@ def build_index(out_dir: str,
     # small shuffle of (url, doc_id, doclen) rows into URL_MAP_BUCKETS
     # bucket files; lookups read only the buckets their urls hash to.
     t0 = time.perf_counter()
-    if "url" in tokds.schema().names and not checkpoint.is_done(
-            os.path.join(out_dir, "url_map"), "_SUCCESS"):
+    if "url" in pq.ParquetDataset(tok_dir).schema.names and \
+            not checkpoint.is_done(os.path.join(out_dir, "url_map"),
+                                   "_SUCCESS"):
         write_url_map(out_dir)
     _mark("url_map", t0)
 
@@ -562,25 +652,33 @@ def build_index(out_dir: str,
     # so ``doc_stats`` maps over files and folds on the driver — an
     # all-to-all ``Dataset.aggregate`` here would shuffle for no reason.
     t0 = time.perf_counter()
-    gstats, next_doc_id = doc_stats(tok_dir)
+    gstats, next_doc_id = doc_stats(tok_dir, local)
     gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS},
                   docs_per_bucket=docs_per_bucket)
     _mark("global_stats", t0)
 
     # ---- stage 3: the merge shuffle -> encoded posting partitions ----------
     t0 = time.perf_counter()
-    posts = tokds.map_batches(
-        PartialPostingsStage(cfg, docs_per_bucket), batch_format="pyarrow",
-        batch_size=cfg.postings_batch_size)
-    from functools import partial
+    if local:
+        if tok is None:  # resumed past the staging checkpoint
+            tok = pq.ParquetDataset(tok_dir).read().sort_by("doc_id")
+        man_table = _encode_local(tok, out_dir, cfg, docs_per_bucket)
+    else:
+        import ray.data
+        from functools import partial
 
-    manifest = posts.groupby("skey").map_groups(
-        partial(encode_write_group, out_dir=out_dir, cfg=cfg,
-                docs_per_bucket=docs_per_bucket),
-        batch_format="pyarrow")
-    # one row per shuffle group; an empty build has none
-    man_table = pa.Table.from_pylist(manifest.take_all(),
-                                     schema=_MANIFEST_SCHEMA)
+        posts = ray.data.read_parquet(
+            tok_dir, file_extensions=["parquet"]).map_batches(
+            PartialPostingsStage(cfg, docs_per_bucket),
+            batch_format="pyarrow", batch_size=cfg.postings_batch_size)
+        manifest = posts.groupby("skey").map_groups(
+            partial(encode_write_group, out_dir=out_dir, cfg=cfg,
+                    docs_per_bucket=docs_per_bucket),
+            batch_format="pyarrow")
+        # one row per shuffle group; an empty build has none
+        man_table = pa.Table.from_pylist(manifest.take_all(),
+                                         schema=_MANIFEST_SCHEMA)
+    man_table = man_table.sort_by("skey")
     man_path = os.path.join(out_dir, "_manifest.jsonl")
     checkpoint.write_text(
         "".join(json.dumps(row) + "\n" for row in man_table.to_pylist()),
@@ -609,3 +707,4 @@ def build_index(out_dir: str,
         part_files, os.path.join(out_dir, "term_stats"))
     _mark("term_stats", t0)
     return commit_build(out_dir, gstats, metrics, next_doc_id, t_start)
+

@@ -18,6 +18,12 @@ columnar rebuild expresses the same contract as LSM-style delta segments:
                                   segment doc counts, the fold, next_doc_id,
                                   next_gen and the global stats snapshot
 
+Each update's segment is a ``build_index`` of the batch with the index's
+recorded settings and stripe width (``docs_per_bucket``), its doc_ids
+continuing at ``next_doc_id``. A batch given as ``paths`` stays paths, so
+one under ``build.DRIVER_BUILD_BYTES`` — a refresh generation — builds on
+the driver leg, without a Ray Data job.
+
 One rule holds the stats: a segment's term stats are its own blocks'
 stats, and the fold subtracts the dead docs still on disk. Queries see
 exact results: the reader unions posting partitions across segments,
@@ -398,18 +404,21 @@ def _clear_orphans(index_dir: str, segs: dict) -> None:
 
 def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
                  out_dir: str, cfg: IndexConfig, docs_per_bucket: int
-                 ) -> int:
+                 ) -> tuple[int, pa.Table, str | None]:
     """Merge one independent group (``item``: kind, key, src) of the
     input segments into ``out_dir``, dropping ``dead`` doc_ids; returns
-    the rows kept.
+    the rows kept, the group's term-stat rows and its ``_manifest.jsonl``
+    line (None when it wrote no postings).
 
     - ``postings``, key k: every input's ``part-k`` decoded, re-blocked
       with the index's block size and bucket stripe, written with the
       build's settings (no file when nothing survives, as in a build);
+      its stats come from the blocks in memory, as a build's do;
     - ``tokenized``, key i: input file ``src`` minus the dead rows,
       sorted by doc_id (the footer pruning of ``_stats_deltas_for`` reads
       per-file id ranges)."""
     name = f"part-{item['key']:06d}.parquet"
+    none = (TERM_STATS_SCHEMA.empty_table(), None)
     if item["kind"] == "tokenized":
         t = pq.read_table(item["src"])
         ids = t.column("doc_id").to_numpy().astype(np.uint64)
@@ -417,12 +426,12 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
         if len(t):
             checkpoint.write_table(t, os.path.join(out_dir, "tokenized",
                                                    name))
-        return len(t)
+        return (len(t), *none)
     tabs = [pq.read_table(p) for p in
             (os.path.join(d, "postings", name) for d in seg_dirs)
             if os.path.exists(p)]
     if not tabs:
-        return 0
+        return (0, *none)
     terms, ids, tfs, dls, *pos = decode_postings(pa.concat_tables(tabs),
                                                  cfg.codec)
     keep = ~np.isin(ids, dead)
@@ -435,31 +444,46 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
         block_size=cfg.block_size, codec=cfg.codec,
         stripe_size=docs_per_bucket if cfg.num_doc_buckets > 1 else None,
         **pos_kw)
-    if len(blocks):
-        checkpoint.write_table(blocks, os.path.join(out_dir, "postings",
-                                                    name),
-                               **POSTINGS_PARQUET)
-    return int(keep.sum())
+    if not len(blocks):
+        return (0, *none)
+    path = os.path.join(out_dir, "postings", name)
+    checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
+    kept = int(keep.sum())
+    row = _manifest_row(item["key"], path, len(blocks), kept,
+                        os.path.getsize(path), resumed=False, seconds=0.0)
+    return (kept, _stats_partial_from_blocks(blocks),
+            json.dumps(row.to_pylist()[0]))
 
 
 def _merge_batch(batch: pa.Table, **kw) -> pa.Table:
-    """map_batches body: ``_merge_group`` of each item row, as
-    (kind, kept) rows."""
-    return pa.table({"kind": batch.column("kind"), "kept": pa.array(
-        [_merge_group(it, **kw) for it in batch.to_pylist()], pa.int64())})
+    """map_batches body: ``_merge_group`` of each item row, as (kind,
+    key, kept, manifest, stats) rows; ``stats`` lists the group's
+    term-stat rows."""
+    out = [_merge_group(it, **kw) for it in batch.to_pylist()]
+    stats = pa.concat_tables([o[1] for o in out])
+    offsets = np.concatenate([[0], np.cumsum([len(o[1]) for o in out])])
+    return pa.table({
+        "kind": batch.column("kind"), "key": batch.column("key"),
+        "kept": pa.array([o[0] for o in out], pa.int64()),
+        "manifest": pa.array([o[2] for o in out], pa.string()),
+        "stats": pa.ListArray.from_arrays(
+            pa.array(offsets, pa.int32()), pa.StructArray.from_arrays(
+                [c.combine_chunks() for c in stats.columns],
+                fields=list(stats.schema)))})
 
 
 def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
-                    dead: np.ndarray, g: dict) -> tuple[dict, int]:
+                    dead: np.ndarray, g: dict
+                    ) -> tuple[dict, int, pa.Table]:
     """Write the merge of ``inputs`` (consecutive segments) into
     ``out_dir``: one independent group per posting partition and per
     tokenized file — no shuffle — run locally below
     ``_MERGE_DRIVER_BYTES`` of input and as Ray Data tasks above it (one
     batch function serves both); then the url map from the merged
     tokenized rows, and the term stats and ``_manifest.jsonl`` from the
-    merged blocks, as the build takes them: exact, with a tight wdf_ub.
-    Returns the merge's row counts for its ``_metrics.json`` and the
-    max wdf_ub."""
+    groups' blocks, as the build takes them: exact, with a tight wdf_ub.
+    Returns the merge's row counts for its ``_metrics.json``, the max
+    wdf_ub and the groups' term-stat rows (not yet summed per term)."""
     cfg = IndexConfig.from_gstats(g)
     seg_dirs = [os.path.join(index_dir, s) for s in inputs]
     tok_files = [f for d in seg_dirs
@@ -473,12 +497,14 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
     in_bytes = sum(os.path.getsize(f) for d in seg_dirs for f in
                    _parquet_files(os.path.join(d, "postings")) + tok_files)
     if in_bytes <= _MERGE_DRIVER_BYTES:
-        kept = _merge_batch(pa.Table.from_pylist(items), **kw).to_pylist()
+        res = _merge_batch(pa.Table.from_pylist(items), **kw)
     else:
+        import ray
         import ray.data
 
-        kept = ray.data.from_items(items).map_batches(
-            _merge_batch, batch_format="pyarrow", fn_kwargs=kw).take_all()
+        res = pa.concat_tables(ray.get(ray.data.from_items(
+            items).map_batches(_merge_batch, batch_format="pyarrow",
+                               fn_kwargs=kw).to_arrow_refs()))
     tok_dir = os.path.join(out_dir, "tokenized")
     schema = pq.read_schema(tok_files[0])
     if not _parquet_files(tok_dir):
@@ -487,39 +513,31 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
                                os.path.join(tok_dir, checkpoint.EMPTY_FILE))
     if "url" in schema.names:
         write_url_map(out_dir)
-    partials, manifest = [], []
-    for k in range(cfg.num_term_parts * cfg.num_doc_buckets):
-        p = os.path.join(out_dir, "postings", f"part-{k:06d}.parquet")
-        if not os.path.exists(p):
-            continue  # nothing survived in this partition
-        blocks = pq.read_table(p, columns=["term", "n", "sum_wdf",
-                                           "max_wdf"])
-        partials.append(_stats_partial_from_blocks(blocks))
-        manifest += _manifest_row(
-            k, p, len(blocks), int(pc.sum(blocks.column("n")).as_py()),
-            os.path.getsize(p), resumed=False, seconds=0.0).to_pylist()
-    wdf_ub = merge_term_stats(
-        [], os.path.join(out_dir, "term_stats"),
-        pa.concat_tables(partials) if partials else None)
-    checkpoint.write_text("".join(json.dumps(r) + "\n" for r in manifest),
-                          os.path.join(out_dir, "_manifest.jsonl"))
+    flat = pc.list_flatten(res.column("stats"))
+    partials = pa.table({f.name: pc.struct_field(flat, f.name)
+                         for f in TERM_STATS_SCHEMA})
+    wdf_ub = merge_term_stats([], os.path.join(out_dir, "term_stats"),
+                              partials if len(partials) else None)
+    man = res.filter(pc.is_valid(res.column("manifest"))).sort_by("key")
+    checkpoint.write_text(
+        "".join(m + "\n" for m in man.column("manifest").to_pylist()),
+        os.path.join(out_dir, "_manifest.jsonl"))
+    kept = res.select(["kind", "kept"]).to_pylist()
     return {f"{kind}_rows_out": sum(r["kept"] for r in kept
                                     if r["kind"] == kind)
-            for kind in ("postings", "tokenized")}, wdf_ub
+            for kind in ("postings", "tokenized")}, wdf_ub, partials
 
 
 def _write_merge_fold(index_dir: str, segs: dict, inputs: list[str],
-                      merged: str, fold: str) -> None:
+                      merged_stats: pa.Table, fold: str) -> None:
     """Write ``fold``: the committed fold with the docs the merge of
-    ``inputs`` into ``merged`` dropped moved out. Its stats are the
-    committed fold's rows plus D = the inputs' term stats minus the
-    merged segment's, per term (wdf_ub 0; ``merge_term_stats`` drops the
-    rows that sum to termfreq 0). Its dead ids are the committed fold's
-    minus those in the inputs' doc-id range, from their tokenized
-    footers."""
-    def stats(seg: str, sign: int) -> pa.Table:
-        t = pq.ParquetDataset(_parquet_files(os.path.join(
-            index_dir, seg, "term_stats"))).read()
+    ``inputs`` dropped moved out. Its stats are the committed fold's
+    rows plus D = the inputs' term stats minus ``merged_stats`` (the
+    merged segment's, as ``_merge_segments`` returned them), per term
+    (wdf_ub 0; ``merge_term_stats`` drops the rows that sum to termfreq
+    0). Its dead ids are the committed fold's minus those in the inputs'
+    doc-id range, from their tokenized footers."""
+    def signed(t: pa.Table, sign: int) -> pa.Table:
         return pa.table({"term": t.column("term"), **{
             c: pc.multiply(t.column(c), sign) for c in ("termfreq",
                                                         "collfreq")},
@@ -531,9 +549,10 @@ def _write_merge_fold(index_dir: str, segs: dict, inputs: list[str],
     if rng:
         lo, hi = min(r[0] for r in rng), max(r[1] for r in rng)
         dead = dead[(dead < lo) | (dead > hi)]
-    _put_fold(index_dir, fold, segs.get("fold"),
-              pa.concat_tables([stats(s, 1) for s in inputs]
-                               + [stats(merged, -1)]), dead)
+    _put_fold(index_dir, fold, segs.get("fold"), pa.concat_tables(
+        [signed(pq.ParquetDataset(_parquet_files(os.path.join(
+            index_dir, s, "term_stats"))).read(), 1) for s in inputs]
+        + [signed(merged_stats, -1)]), dead)
 
 
 def _merge_tail(index_dir: str, segs: dict) -> dict:
@@ -556,10 +575,10 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
     t0 = time.perf_counter()
     out_dir = os.path.join(index_dir, rel)
     checkpoint.clear_dir(out_dir)
-    counts, _ = _merge_segments(index_dir, inputs, out_dir,
-                                dead_ids(index_dir, segs.get("fold")),
-                                segs["global_stats"])
-    _write_merge_fold(index_dir, segs, inputs, rel, fold)
+    counts, _, merged_stats = _merge_segments(
+        index_dir, inputs, out_dir, dead_ids(index_dir, segs.get("fold")),
+        segs["global_stats"])
+    _write_merge_fold(index_dir, segs, inputs, merged_stats, fold)
     checkpoint.write_text(json.dumps({
         "merge_s": round(time.perf_counter() - t0, 3),
         "merge_inputs": len(inputs), **counts}, indent=1),
@@ -582,8 +601,10 @@ def update_index(index_dir: str,
                  dataset_fn=None) -> dict:
     """Upsert new/changed docs into an existing index. Input shape matches
     build_index (pages parquet paths, or a Dataset with url + text/html, or
-    an already-tokenized Dataset). Docs whose url already exists replace the
-    old version (old doc_id tombstoned). Returns the updated global stats.
+    an already-tokenized Dataset); ``paths`` go to ``build_index`` as
+    paths, so a small batch builds on the driver. Docs whose url already
+    exists replace the old version (old doc_id tombstoned). Returns the
+    updated global stats.
 
     ``dataset_fn(id_base) -> Dataset`` is the NO-SHUFFLE input path for
     file-backed batches: the callable receives the index's next free doc_id
@@ -613,18 +634,14 @@ def update_index(index_dir: str,
     checkpoint.clear_dir(seg_dir)
 
     # ---- build the delta segment as a complete mini-index ------------------
-    import ray.data
-
     if dataset is None and dataset_fn is not None:
         # file-rank ids continuing the index's id space: no assign_doc_ids
         # sort (the update path's last all-to-all) for file-backed input
         dataset = dataset_fn(segs["next_doc_id"])
-    if dataset is None:
-        from ..sources.pages import read_pages
-        dataset = read_pages(sorted(paths), columns=["url", "html"],
-                             id_base=segs["next_doc_id"])
-    gseg = build_index(seg_dir, dataset=dataset, cfg=cfg,
-                       id_base=segs["next_doc_id"])
+    # a paths batch stays paths: a small one builds on the driver
+    gseg = build_index(seg_dir, paths=paths, dataset=dataset, cfg=cfg,
+                       id_base=segs["next_doc_id"],
+                       docs_per_bucket=int(g["docs_per_bucket"]))
 
     # ---- tombstone replaced urls + exact stat deltas, into the fold --------
     new_tok = pads.dataset(os.path.join(seg_dir, "tokenized"))
@@ -720,8 +737,8 @@ def compact(index_dir: str, out_dir: str) -> dict:
         os.remove(_segments_path(out_dir))
     for sub in _SEGMENT_DATA:
         checkpoint.clear_dir(os.path.join(out_dir, sub))
-    _, wdf_ub = _merge_segments(index_dir, segs["segments"], out_dir,
-                                dead_ids(index_dir, segs.get("fold")), g)
+    _, wdf_ub, _ = _merge_segments(index_dir, segs["segments"], out_dir,
+                                   dead_ids(index_dir, segs.get("fold")), g)
     metrics = {"merge": round(time.perf_counter() - t_start, 3)}
     gstats, next_doc_id = doc_stats(os.path.join(out_dir, "tokenized"))
     gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS},

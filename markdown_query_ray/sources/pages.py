@@ -78,24 +78,30 @@ class _ReadShard:
                 offset += len(t)
 
 
+def shard_control(paths: list[str], id_base: int = 0) -> list[dict]:
+    """The ``_ReadShard`` control rows of ``paths``: one (path, base) row
+    per file in sorted order, ``base`` its first doc_id. ``id_base``
+    offsets every doc_id (delta segments of an incremental update continue
+    the id space)."""
+    if not paths:
+        # fail loudly here: an empty control dataset has no schema and the
+        # build pipeline would die later with an opaque AttributeError
+        raise ValueError("read_pages: no input files (empty `paths`)")
+    return [{"path": p, "base": b + id_base}
+            for p, b in sorted(doc_id_bases(paths).items())]
+
+
 def read_pages(paths: list[str], columns: list[str] | None = None,
                parallelism: int | None = None, id_base: int = 0):
     """Dataset of pages with deterministic ``doc_id:uint64`` attached.
 
     ``columns`` prunes at the read (pass only what the stage needs — e.g.
-    ``["url", "html"]`` for the index build). ``id_base`` offsets every
-    doc_id (delta segments of an incremental update continue the id space).
+    ``["url", "html"]`` for the index build); ``id_base`` is
+    :func:`shard_control`'s.
     """
     import ray.data
 
-    if not paths:
-        # fail loudly here: an empty control dataset has no schema and the
-        # build pipeline would die later with an opaque AttributeError
-        raise ValueError("read_pages: no input files (empty `paths`)")
-    bases = doc_id_bases(paths)
-    if id_base:
-        bases = {p: b + id_base for p, b in bases.items()}
-    control = [{"path": p, "base": b} for p, b in sorted(bases.items())]
+    control = shard_control(paths, id_base)
     ctrl_ds = ray.data.from_items(control)
     if parallelism:
         ctrl_ds = ctrl_ds.repartition(min(parallelism, len(control)))

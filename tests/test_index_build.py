@@ -10,6 +10,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from markdown_query_ray.config import IndexConfig
+from markdown_query_ray.index import build as build_mod
 from markdown_query_ray.index.build import build_index, term_part
 from markdown_query_ray.index.codec import decode_blocks
 from markdown_query_ray.index.reader import IndexReader
@@ -107,8 +108,17 @@ def test_salted_shuffle_layout(built_index):
     assert (np.diff(ids.astype(np.int64)) > 0).all()  # strictly increasing
 
 
+@pytest.fixture(params=["driver", "ray"])
+def leg(request, monkeypatch):
+    """Send the test's ``paths`` builds down one leg: the driver loop or
+    the Ray Data plan."""
+    monkeypatch.setattr(build_mod, "DRIVER_BUILD_BYTES",
+                        float("inf") if request.param == "driver" else 0)
+    return request.param
+
+
 def test_resume_skips_completed_partitions(ray_session, pages_corpus,
-                                           tmp_path):
+                                           tmp_path, leg):
     """Second build over an existing output dir must reuse every partition
     (resumed=True) and leave files byte-identical."""
     out = str(tmp_path / "idx")
@@ -207,7 +217,8 @@ def test_staging_partial_write_cleared(ray_session, pages_corpus, tmp_path):
     assert g2["total_doclen"] == g1["total_doclen"]
 
 
-def test_staging_checkpoint_resume(ray_session, pages_corpus, tmp_path):
+def test_staging_checkpoint_resume(ray_session, pages_corpus, tmp_path,
+                                   leg):
     """The tokenized/ staging checkpoint survives a lost shuffle output:
     deleting the postings tree and rebuilding skips extract+tokenize
     entirely (no _SUCCESS re-write) and re-encodes from staging."""
@@ -237,8 +248,6 @@ def test_distributed_stats_and_url_map_legs_match_driver(
     the same term dictionary, wdf bound and url map."""
     import pyarrow as pa
 
-    from markdown_query_ray.index import build as build_mod
-
     monkeypatch.setattr(build_mod, "URL_MAP_DRIVER_ROWS", 0)
     monkeypatch.setattr(build_mod, "TERM_STATS_DRIVER_ROWS", 0)
     base_dir, cfg, base_g = built_index
@@ -266,3 +275,157 @@ def test_distributed_stats_and_url_map_legs_match_driver(
     base_files, base_rows = url_map(base_dir)
     assert len(base_rows) == base_g["n_docs"]
     assert url_map(out) == (base_files, base_rows)
+
+
+def test_paths_build_honours_id_base(ray_session, pages_corpus, tmp_path,
+                                     built_index, leg):
+    """``build_index(paths=..., id_base=N)`` writes the same documents
+    with every doc_id shifted by exactly N, on both legs."""
+    base_dir, cfg, _ = built_index
+    n = 1000
+    out = str(tmp_path / "idx")
+    g = build_index(out, paths=pages_corpus, cfg=cfg, id_base=n)
+
+    def docs(d):
+        return pq.ParquetDataset(os.path.join(d, "tokenized")).read() \
+            .sort_by("doc_id").to_pylist()
+
+    want = docs(base_dir)
+    assert docs(out) == [dict(r, doc_id=r["doc_id"] + n) for r in want]
+    assert g["n_docs"] == len(want)
+    with open(os.path.join(out, "segments.json")) as f:
+        assert json.load(f)["next_doc_id"] == len(want) + n
+    rb, ro = IndexReader(base_dir), IndexReader(out)
+    for term in ["the", "Zthe", "xqzraretri"]:
+        ids = np.sort(decode_blocks(rb.load_blocks([term]))[0])
+        assert np.sort(decode_blocks(ro.load_blocks([term]))[0]).tolist() \
+            == (ids + np.uint64(n)).tolist()
+
+
+def _strip(obj):
+    """``obj`` without its ``stage_metrics`` (timings) at any depth."""
+    if isinstance(obj, dict):
+        return {k: _strip(v) for k, v in obj.items() if k != "stage_metrics"}
+    return obj
+
+
+def _index_state(d: str) -> dict:
+    """What two builds of one input must agree on, for every directory of
+    the index (segments and folds alike): the sha256 of each file under
+    ``postings/`` and ``term_stats/``, the ``tokenized/`` and ``url_map/``
+    rows sorted by doc_id, the manifest rows without their timing and
+    resume fields, and ``segments.json`` / ``global_stats.json`` without
+    their ``stage_metrics``."""
+    import hashlib
+
+    out = {}
+    for root, _, files in os.walk(d):
+        rel = os.path.relpath(root, d)
+        kind = os.path.basename(root)
+        parquet = sorted(f for f in files if f.endswith(".parquet"))
+        if kind in ("postings", "term_stats"):
+            for f in parquet:
+                with open(os.path.join(root, f), "rb") as fh:
+                    out[os.path.join(rel, f)] = hashlib.sha256(
+                        fh.read()).hexdigest()
+        elif kind in ("tokenized", "url_map") and parquet:
+            out[rel] = pq.ParquetDataset(
+                [os.path.join(root, f) for f in parquet]).read() \
+                .sort_by("doc_id").to_pylist()
+        for f in ("segments.json", "global_stats.json"):
+            if f in files:
+                with open(os.path.join(root, f)) as fh:
+                    out[os.path.join(rel, f)] = _strip(json.load(fh))
+        if "_manifest.jsonl" in files:
+            with open(os.path.join(root, "_manifest.jsonl")) as fh:
+                out[os.path.join(rel, "_manifest.jsonl")] = [
+                    (r["skey"], os.path.basename(r["path"]), r["n_blocks"],
+                     r["n_postings"]) for r in map(json.loads, fh)]
+    return out
+
+
+def _legs(monkeypatch, run) -> tuple[dict, dict]:
+    """``_index_state`` of ``run()``'s index on the driver leg and on the
+    Ray leg."""
+    states = []
+    for limit in (float("inf"), 0):
+        monkeypatch.setattr(build_mod, "DRIVER_BUILD_BYTES", limit)
+        states.append(_index_state(run(limit)))
+    return states[0], states[1]
+
+
+def test_driver_and_ray_legs_write_the_same_index(ray_session, pages_corpus,
+                                                  tmp_path, monkeypatch):
+    """The driver leg runs the Ray plan's own stage callables, so both
+    legs write the same index: postings and term stats byte for byte,
+    the same tokenized, url-map and manifest rows, the same stats."""
+    cfg = IndexConfig(num_term_parts=4, num_doc_buckets=2, block_size=32,
+                      positions=True)
+
+    def run(limit) -> str:
+        idx = str(tmp_path / f"idx-{limit}")
+        build_index(idx, paths=pages_corpus, cfg=cfg)
+        return idx
+
+    driver, ray_leg = _legs(monkeypatch, run)
+    assert sum(k.startswith("postings") for k in driver) == 8
+    assert driver == ray_leg
+
+
+def test_update_legs_write_the_same_index(ray_session, tmp_path,
+                                          monkeypatch):
+    """Three ``update_index`` generations over ``paths`` batches (half
+    new urls, half replaced), the last one merging: every segment, the
+    fold and the commit state agree between the legs."""
+    from markdown_query_ray.fixtures import make_pages_table
+    from markdown_query_ray.index.update import load_segments, update_index
+
+    cfg = IndexConfig(num_term_parts=2, num_doc_buckets=2, block_size=16)
+    base = str(tmp_path / "base.parquet")
+    pq.write_table(make_pages_table(0, 120), base)
+    batches = []
+    for g in range(3):
+        p = str(tmp_path / f"batch-{g}.parquet")
+        pq.write_table(make_pages_table(100 + 40 * g, 40), p)
+        batches.append(p)
+
+    def run(limit) -> str:
+        idx = str(tmp_path / f"idx-{limit}")
+        build_index(idx, paths=[base], cfg=cfg)
+        for p in batches:
+            update_index(idx, paths=[p])
+        assert any(s.startswith("merged")
+                   for s in load_segments(idx)["segments"])
+        return idx
+
+    driver, ray_leg = _legs(monkeypatch, run)
+    assert driver == ray_leg
+
+
+def test_build_crash_at_every_write(ray_session, tmp_path, monkeypatch):
+    """Fail the k-th checkpoint write of a driver-leg build, for every k,
+    then re-run it: the index equals an uninterrupted build's (postings
+    and term stats byte for byte, tokenized rows, the commit files
+    without timings), and no ``segments.json`` marks a crashed build
+    committed."""
+    from markdown_query_ray.fixtures import write_pages_corpus
+
+    from .test_merge import _run_failing
+
+    monkeypatch.setattr(build_mod, "DRIVER_BUILD_BYTES", float("inf"))
+    paths = write_pages_corpus(str(tmp_path / "pages"), n_docs=24,
+                               n_files=2)
+    cfg = IndexConfig(num_term_parts=2, num_doc_buckets=2, block_size=8)
+    clean = str(tmp_path / "clean")
+    n_writes = _run_failing(
+        monkeypatch, lambda: build_index(clean, paths=paths, cfg=cfg))
+    want = _index_state(clean)
+    assert n_writes > 10
+    for k in range(1, n_writes + 1):
+        out = str(tmp_path / f"crash{k}")
+        with pytest.raises(OSError, match="injected"):
+            _run_failing(monkeypatch,
+                         lambda: build_index(out, paths=paths, cfg=cfg), k)
+        assert not os.path.exists(os.path.join(out, "segments.json")), k
+        build_index(out, paths=paths, cfg=cfg)
+        assert _index_state(out) == want, k
