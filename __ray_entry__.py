@@ -1019,8 +1019,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def queries_extra() -> dict[str, Callable[[str], Any]]:
     """Everything NOT in the driver window: the individual un-fused
-    entries, redundant parameterizations (bitpack codec, rare-term WAND
-    regime) and intermediate-stage views. Oracle-checked by pytest
+    entries, redundant parameterizations (rare-term WAND regime) and
+    intermediate-stage views. Oracle-checked by pytest
     (tests/test_driver_contract.py), ignored by the external driver."""
     q = _queries_all()
     return {k: v for k, v in q.items() if k not in set(_DRIVER_ENTRIES)}
@@ -1048,10 +1048,6 @@ def _queries_all() -> dict[str, Callable[[str], Any]]:
                                            k=20),
         # rare term (df=25): exercises nonzero classic idf + WAND pruning
         "bm25_rare_dup": lambda sf: d.bm25_topk(sf, ["dup", "merge"], k=20),
-        # same query over a bitpack-codec index: the DuckDB oracle validates
-        # the frame-of-reference block codec end to end
-        "bm25_or3_bitpack": lambda sf: d.bm25_topk(
-            sf, ["merge", "sort", "window"], k=20, codec="bitpack"),
         "bm25_lang_de": lambda sf: d.bm25_lang_filtered(
             sf, ["merge", "sort"], "de", k=20),
         "phrase_merge_sort": lambda sf: d.phrase_bm25(sf, ["merge", "sort"],
@@ -1189,7 +1185,6 @@ def _oracle_all() -> dict[str, str]:
             "WHERE list_contains(l, 'merge') OR list_contains(l, 'sort') "
             "GROUP BY lang ORDER BY lang"),
         "bm25_or3": _bm25_sql(["merge", "sort", "window"], 20),
-        "bm25_or3_bitpack": _bm25_sql(["merge", "sort", "window"], 20),
         "bm25_rare_dup": _bm25_sql(["dup", "merge"], 20),
         "bm25_lang_de": _bm25_xapian_restricted_sql(
             ["merge", "sort"], 20,

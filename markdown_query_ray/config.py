@@ -85,23 +85,21 @@ class IndexConfig:
                                      # of Xapian's Document::set_data blob
                                      # (src/document.rs:183); costs storage,
                                      # so off by default at web scale
-    codec: str = "varint"            # posting payload codec: "varint"
-                                     # (LEB128, glass pack.h analog) |
-                                     # "bitpack" (per-block frame-of-
-                                     # reference, ~0.7x the bytes and a
-                                     # branch-free decode; positions stay
-                                     # varint in both modes). The merge
-                                     # shuffle exchanges the same codec.
-    tokenize_batch_size: int = 256   # docs per tokenize batch (web pages are fat)
+    docs_per_bucket: int = 1 << 32   # doc_id -> doc_bucket divisor; at 10^12
+                                     # docs set so S buckets cover the id space
+
+    # Not settable: the one posting payload coding (LEB128 varint, the glass
+    # pack.h analog, for postings and positions alike) and the build's batch
+    # sizes. Class constants, not fields; perfbench reads ``codec`` and
+    # ``postings_batch_size``.
+    codec = "varint"
+    tokenize_batch_size = 256  # docs per tokenize batch (web pages are fat)
     # docs per map-side-combine batch in the merge shuffle: bigger batches
     # combine more postings per (skey, term) row, directly shrinking the
     # all-to-all (200k-doc stress: 256 -> 4.4M shuffle rows / 5.9s sort,
     # 4096 -> 1.4M rows / 0.7s). Tokenized rows are term lists (~2-4 KB/doc),
     # so 4096 docs is ~10-20 MB in flight per task — safe per-worker memory.
-    postings_batch_size: int = 4096
-    tokenize_concurrency: int | tuple[int, int] | None = None  # actor pool size
-    docs_per_bucket: int = 1 << 32   # doc_id -> doc_bucket divisor; at 10^12
-                                     # docs set so S buckets cover the id space
+    postings_batch_size = 4096
 
     @classmethod
     def from_gstats(cls, g: dict) -> "IndexConfig":
@@ -121,8 +119,8 @@ class IndexConfig:
 # (``docs_per_bucket`` is recorded as the build's computed value)
 RECORDED_SETTINGS = (
     "num_term_parts", "num_doc_buckets", "docs_per_bucket", "block_size",
-    "codec", "tokenizer", "stem", "positions", "max_term_bytes",
-    "cjk_ngram", "store_payload")
+    "tokenizer", "stem", "positions", "max_term_bytes", "cjk_ngram",
+    "store_payload")
 
 
 @dataclass(frozen=True)

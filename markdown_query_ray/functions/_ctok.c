@@ -695,126 +695,6 @@ static PyObject *varint_decode64(PyObject *self, PyObject *args) {
     return out;
 }
 
-/* ---- frame-of-reference bit packing (codec="bitpack") ------------------- *
- * Per segment of k values: one width byte w = bitlen(max value), then
- * ceil(k*w/8) bytes of little-endian-bit-order packed values (value j's
- * bits occupy bit positions [j*w, (j+1)*w) LSB-first). Segments with k=0
- * emit nothing. Byte format shared with the numpy fallback in
- * index/codec.py (_pack_for_np / _unpack_for_np); parity enforced by
- * tests/test_codec.py.                                                     */
-
-/* for_pack64(uint64le values, int64le seg_counts)
- *   -> (payload bytearray, int64le per-segment exclusive byte-end offsets) */
-static PyObject *for_pack64(PyObject *self, PyObject *args) {
-    Py_buffer vals, counts;
-    if (!PyArg_ParseTuple(args, "y*y*", &vals, &counts)) return NULL;
-    size_t n = (size_t)vals.len / 8, nb = (size_t)counts.len / 8;
-    const uint64_t *v = (const uint64_t *)vals.buf;
-    const int64_t *c = (const int64_t *)counts.buf;
-    size_t cap = nb + n * 8 + 16;
-    unsigned char *out = (unsigned char *)calloc(cap ? cap : 1, 1);
-    PyObject *ends_b = PyByteArray_FromStringAndSize(NULL,
-                                                     (Py_ssize_t)(nb * 8));
-    if (!out || !ends_b) {
-        free(out); Py_XDECREF(ends_b);
-        PyBuffer_Release(&vals); PyBuffer_Release(&counts);
-        return PyErr_NoMemory();
-    }
-    int64_t *ends = (int64_t *)PyByteArray_AS_STRING(ends_b);
-    size_t pos = 0, vi = 0;
-    for (size_t b = 0; b < nb; b++) {
-        int64_t k = c[b];
-        if (k < 0 || vi + (size_t)k > n) {
-            free(out); Py_DECREF(ends_b);
-            PyBuffer_Release(&vals); PyBuffer_Release(&counts);
-            PyErr_SetString(PyExc_ValueError, "seg_counts out of range");
-            return NULL;
-        }
-        if (k == 0) { ends[b] = (int64_t)pos; continue; }
-        uint64_t mx = 0;
-        for (int64_t j = 0; j < k; j++) if (v[vi + j] > mx) mx = v[vi + j];
-        unsigned w = 0;
-        while (mx) { w++; mx >>= 1; }
-        out[pos++] = (unsigned char)w;
-        if (w) {
-            size_t bitbase = pos * 8;
-            for (int64_t j = 0; j < k; j++) {
-                uint64_t x = v[vi + j];
-                size_t bo = bitbase + (size_t)j * w;
-                size_t byte = bo >> 3;
-                int sh = (int)(bo & 7);
-                out[byte] |= (unsigned char)((x << sh) & 0xFF);
-                int rem = (int)w - (8 - sh);
-                x >>= (8 - sh);
-                while (rem > 0) {
-                    out[++byte] |= (unsigned char)(x & 0xFF);
-                    x >>= 8;
-                    rem -= 8;
-                }
-            }
-            pos += ((size_t)k * w + 7) >> 3;
-        }
-        vi += (size_t)k;
-        ends[b] = (int64_t)pos;
-    }
-    PyBuffer_Release(&vals); PyBuffer_Release(&counts);
-    PyObject *pl = PyByteArray_FromStringAndSize((const char *)out,
-                                                 (Py_ssize_t)pos);
-    free(out);
-    if (!pl) { Py_DECREF(ends_b); return NULL; }
-    return Py_BuildValue("(NN)", pl, ends_b);
-}
-
-/* for_unpack64(payload, int64le seg_counts) -> bytearray of uint64-LE */
-static PyObject *for_unpack64(PyObject *self, PyObject *args) {
-    Py_buffer buf, counts;
-    if (!PyArg_ParseTuple(args, "y*y*", &buf, &counts)) return NULL;
-    const unsigned char *d = (const unsigned char *)buf.buf;
-    size_t len = (size_t)buf.len, nb = (size_t)counts.len / 8;
-    const int64_t *c = (const int64_t *)counts.buf;
-    size_t total = 0;
-    for (size_t b = 0; b < nb; b++)
-        total += c[b] > 0 ? (size_t)c[b] : 0;
-    PyObject *out = PyByteArray_FromStringAndSize(
-        NULL, (Py_ssize_t)(total * 8));
-    if (!out) { PyBuffer_Release(&buf); PyBuffer_Release(&counts); return NULL; }
-    uint64_t *o = (uint64_t *)PyByteArray_AS_STRING(out);
-    size_t pos = 0, oi = 0;
-    for (size_t b = 0; b < nb; b++) {
-        int64_t k = c[b];
-        if (k <= 0) continue;
-        if (pos >= len) goto corrupt;
-        unsigned w = d[pos++];
-        if (w == 0) {
-            for (int64_t j = 0; j < k; j++) o[oi++] = 0;
-            continue;
-        }
-        if (w > 64 || pos + (((size_t)k * w + 7) >> 3) > len) goto corrupt;
-        uint64_t mask = w == 64 ? ~0ULL : ((1ULL << w) - 1);
-        size_t bitbase = pos * 8;
-        for (int64_t j = 0; j < k; j++) {
-            size_t bo = bitbase + (size_t)j * w;
-            size_t byte = bo >> 3;
-            int sh = (int)(bo & 7);
-            uint64_t x = (uint64_t)(d[byte] >> sh);
-            unsigned got = 8 - (unsigned)sh;
-            while (got < w) {
-                x |= (uint64_t)d[++byte] << got;
-                got += 8;
-            }
-            o[oi++] = x & mask;
-        }
-        pos += ((size_t)k * w + 7) >> 3;
-    }
-    PyBuffer_Release(&buf); PyBuffer_Release(&counts);
-    return out;
-corrupt:
-    Py_DECREF(out);
-    PyBuffer_Release(&buf); PyBuffer_Release(&counts);
-    PyErr_SetString(PyExc_ValueError, "corrupt bitpack stream");
-    return NULL;
-}
-
 /* seg_ids64(gaps_u64le, firsts_u64le, counts_i64le) -> uint64le bytearray.
  * Reconstruct absolute doc ids from per-segment delta coding where segment
  * b contributes counts[b] ids: firsts[b], then prev + gap + 1 for each of
@@ -1223,11 +1103,6 @@ static PyMethodDef Methods[] = {
     {"oph_bin_min64", oph_bin_min64, METH_VARARGS,
      "oph_bin_min64(hashes_u64le, counts_i64le, k) -> per-segment "
      "per-bin minima (n_segments x k uint64le; empty bins UINT64_MAX)"},
-    {"for_pack64", for_pack64, METH_VARARGS,
-     "for_pack64(uint64le_vals, int64le_seg_counts) -> "
-     "(payload bytearray, int64le seg byte-end offsets)"},
-    {"for_unpack64", for_unpack64, METH_VARARGS,
-     "for_unpack64(payload, int64le_seg_counts) -> uint64le bytearray"},
     {"varint_encode64", varint_encode64, METH_VARARGS,
      "varint_encode64(uint64le_buf) -> (payload bytearray, "
      "int64le end-offsets bytearray)"},

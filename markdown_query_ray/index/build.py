@@ -60,7 +60,6 @@ from ..sources.pages import _ReadShard, file_row_counts, read_pages, \
 from ..stages.extract import extract_batch
 from ..stages.tokenize import TokenizeStage, staging_schema
 from .codec import (
-    POSITION_CODEC,
     concat_segments,
     decode_partial_group,
     encode_partition,
@@ -92,13 +91,10 @@ class PartialPostingsStage:
 
     ``first_id`` carries the segment's first doc_id as a plain uint64
     column; ``ids_enc`` holds the remaining n-1 gap-1 deltas. Payloads are
-    coded in the index's ``cfg.codec`` by ``codec.encode_segments`` — the
-    same segment format as the posting blocks ("bitpack" is ~0.7x the
-    shuffle bytes of "varint"). Keeping the first id out of the payload
-    matters for bitpack: one absolute u64 would force the whole segment to
-    full width. This packing cuts the all-to-all payload ~10x vs one row
-    per posting (term strings ship once per batch) — the sort-based
-    shuffle moves bytes, not rows.
+    varints from ``codec.encode_segments`` — the same segment format as
+    the posting blocks. This packing cuts the all-to-all payload ~10x vs
+    one row per posting (term strings ship once per batch) — the
+    sort-based shuffle moves bytes, not rows.
 
     Partition hashes run once per UNIQUE term via dictionary encoding,
     batch-hashed straight out of the Arrow string buffers (C fast path in
@@ -160,15 +156,15 @@ class PartialPostingsStage:
             pa.array(seg_n.astype(np.uint32)),
             pa.array(ids_s[seg_start], pa.uint64()),
             # the first id rides as a column, not in the payload
-            encode_segments(gaps[~is_first], seg_n - 1, cfg.codec),
-            encode_segments(tfs_s, seg_n, cfg.codec),
-            encode_segments(dls_s, seg_n, cfg.codec),
+            encode_segments(gaps[~is_first], seg_n - 1),
+            encode_segments(tfs_s, seg_n),
+            encode_segments(dls_s, seg_n),
         ]
         with_pos = "npos" in batch.column_names
         if with_pos:
             npos = pc.list_flatten(batch.column("npos")).to_numpy()[order]
             poss = pc.list_flatten(batch.column("poss")).combine_chunks()
-            cols += [encode_segments(npos, seg_n, POSITION_CODEC),
+            cols += [encode_segments(npos, seg_n),
                      concat_segments(poss.take(pa.array(order)), seg_n)]
         return pa.Table.from_arrays(cols, schema=partial_schema(with_pos))
 
@@ -414,7 +410,7 @@ def encode_write_group(group: pa.Table, out_dir: str,
         meta = pq.ParquetFile(path).metadata
         return _manifest_row(skey, path, meta.num_rows, n_rows, 0,
                              resumed=True, seconds=0.0)
-    decoded = decode_partial_group(group, codec=cfg.codec)
+    decoded = decode_partial_group(group)
     terms, doc_ids, tfs, dls = decoded[:4]
     pos_kw = {}
     if len(decoded) > 4:
@@ -424,8 +420,7 @@ def encode_write_group(group: pa.Table, out_dir: str,
     stripe = docs_per_bucket if cfg.num_doc_buckets > 1 else None
     blocks = encode_partition(terms, doc_ids, tfs, dls,
                               block_size=cfg.block_size,
-                              stripe_size=stripe, codec=cfg.codec,
-                              **pos_kw)
+                              stripe_size=stripe, **pos_kw)
     checkpoint.write_table(_stats_partial_from_blocks(blocks), spath)
     # postings last: the resume marker
     checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
@@ -521,14 +516,11 @@ def _tokenize_dataset(paths: list[str] | None, dataset, cfg: IndexConfig,
         return ds  # caller already tokenized (e.g. field-prefix stage)
     if "html" in ds.schema().names:
         ds = ds.map_batches(extract_batch, batch_format="pyarrow")
-    # size the actor pool to the cluster rather than letting the
-    # autoscaling pool ramp up from its minimum — on a short job the
-    # ramp-up IS the job
-    concurrency = cfg.tokenize_concurrency
-    if concurrency is None:
-        # exactly the cluster's CPUs: max(2, ...) would oversubscribe a
-        # 1-CPU cluster and skew scaling measurements
-        concurrency = max(1, int(ray.cluster_resources().get("CPU", 2)))
+    # size the actor pool to exactly the cluster's CPUs rather than letting
+    # the autoscaling pool ramp up from its minimum — on a short job the
+    # ramp-up IS the job; max(2, ...) would oversubscribe a 1-CPU cluster
+    # and skew scaling measurements
+    concurrency = max(1, int(ray.cluster_resources().get("CPU", 2)))
     return ds.map_batches(
         TokenizeStage(cfg), batch_format="pyarrow",
         batch_size=cfg.tokenize_batch_size, concurrency=concurrency)
@@ -577,10 +569,11 @@ def build_index(out_dir: str,
                 total_docs: int | None = None,
                 id_base: int = 0,
                 docs_per_bucket: int | None = None) -> dict:
-    """Build the full index under ``out_dir``. Input is either ``paths``
-    (pages-shaped parquet: url, warc_ts, html, text, lang) or ``dataset``
-    (a Ray Dataset carrying text or html plus either a ``doc_id`` column
-    or a ``url`` to derive deterministic ids from). ``id_base`` offsets
+    """Build the full index under ``out_dir``. Input is exactly one of
+    ``paths`` (pages-shaped parquet: url, warc_ts, html, text, lang) and
+    ``dataset`` (a Ray Dataset carrying text or html plus either a
+    ``doc_id`` column or a ``url`` to derive deterministic ids from);
+    ValueError otherwise, before ``out_dir`` is created. ``id_base`` offsets
     the doc_ids of ``paths`` and the derived ids of ``dataset`` — updates
     continue the id space. ``docs_per_bucket`` is the doc-bucket stripe
     width; by default ceil(total_docs / S) (a ``paths`` build counts its
@@ -593,6 +586,9 @@ def build_index(out_dir: str,
 
     Returns the global stats dict. Ray must already be initialised by the
     caller (the driver owns the session)."""
+    if (paths is None) == (dataset is None):
+        raise ValueError("build_index takes exactly one input: paths= or "
+                         "dataset=")
     cfg = cfg or IndexConfig()
     os.makedirs(out_dir, exist_ok=True)
     tok_dir = os.path.join(out_dir, "tokenized")

@@ -25,8 +25,9 @@ buffer). No per-row Python in either direction.
 
 This module is the only one that knows how posting payloads are laid out:
 the block rows written to disk, the merge shuffle's partial rows (same
-segment format, same ``codec``), the position payloads, and both tables'
-schemas. Build, update, reader and executor call into it.
+segment format), the position payloads, and both tables' schemas. Build,
+update, reader and executor call into it, and ``check_codec`` refuses an
+index that records any other payload coding.
 """
 
 from __future__ import annotations
@@ -118,86 +119,6 @@ def _decode_varints_np(data: np.ndarray) -> np.ndarray:
     return vals
 
 
-def pack_for_blocks(vals: np.ndarray,
-                    seg_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame-of-reference bit-pack consecutive segments of ``vals``
-    (segment i holds seg_counts[i] values). Per segment: one width byte
-    w = bitlen(max), then ceil(k*w/8) bytes of LSB-first packed values;
-    empty segments emit nothing. Returns (payload:uint8[], seg_byte_ends).
-
-    C kernel when available; numpy fallback is the parity baseline."""
-    vals = np.ascontiguousarray(vals, dtype=np.uint64)
-    seg_counts = np.ascontiguousarray(seg_counts, dtype=np.int64)
-    m = _ctok()
-    if m is not None and hasattr(m, "for_pack64"):
-        payload, ends = m.for_pack64(vals, seg_counts)
-        return (np.frombuffer(payload, np.uint8),
-                np.frombuffer(ends, np.int64))
-    return _pack_for_np(vals, seg_counts)
-
-
-def _pack_for_np(vals: np.ndarray,
-                 seg_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    chunks: list[bytes] = []
-    ends = np.zeros(len(seg_counts), np.int64)
-    pos = 0
-    vi = 0
-    for b, k in enumerate(seg_counts):
-        k = int(k)
-        if k:
-            seg = vals[vi:vi + k]
-            vi += k
-            w = int(seg.max()).bit_length()
-            if w:
-                bits = ((seg[:, None] >> np.arange(w, dtype=np.uint64))
-                        & np.uint64(1)).astype(np.uint8)
-                packed = np.packbits(bits.ravel(), bitorder="little")
-                chunks.append(bytes([w]) + packed.tobytes())
-                pos += 1 + len(packed)
-            else:
-                chunks.append(bytes([0]))
-                pos += 1
-        ends[b] = pos
-    return np.frombuffer(b"".join(chunks), np.uint8), ends
-
-
-def unpack_for_blocks(buf: np.ndarray | bytes,
-                      seg_counts: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_for_blocks` over a concatenated payload."""
-    data = np.frombuffer(buf, np.uint8) if not isinstance(buf, np.ndarray) \
-        else buf
-    seg_counts = np.ascontiguousarray(seg_counts, dtype=np.int64)
-    m = _ctok()
-    if m is not None and hasattr(m, "for_unpack64"):
-        return np.frombuffer(m.for_unpack64(data, seg_counts), np.uint64)
-    return _unpack_for_np(data, seg_counts)
-
-
-def _unpack_for_np(data: np.ndarray, seg_counts: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    pos = 0
-    for k in seg_counts:
-        k = int(k)
-        if k <= 0:
-            continue
-        w = int(data[pos])
-        pos += 1
-        if w == 0:
-            out.append(np.zeros(k, np.uint64))
-            continue
-        nb = (k * w + 7) >> 3
-        bits = np.unpackbits(data[pos:pos + nb],
-                             bitorder="little")[:k * w].reshape(k, w)
-        vals = (bits.astype(np.uint64)
-                << np.arange(w, dtype=np.uint64)).sum(
-            axis=1, dtype=np.uint64)
-        out.append(vals)
-        pos += nb
-    if not out:
-        return np.empty(0, np.uint64)
-    return np.concatenate(out)
-
-
 _INT32_MAX = (1 << 31) - 1
 
 
@@ -226,15 +147,6 @@ def _group_ends(value_ends: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return ends
 
 
-def _segment_binary(payload: np.ndarray, value_ends: np.ndarray,
-                    seg_value_counts: np.ndarray) -> pa.BinaryArray:
-    """Split a packed varint stream into per-segment binary values, where
-    segment i holds seg_value_counts[i] consecutive varints. Zero-copy over
-    the payload buffer."""
-    return _binary_from_seg_ends(
-        payload, _group_ends(value_ends, seg_value_counts))
-
-
 def _binary_from_seg_ends(payload, seg_byte_ends: np.ndarray
                           ) -> pa.BinaryArray:
     """BinaryArray whose value i is payload[seg_byte_ends[i-1]:
@@ -248,63 +160,40 @@ def _binary_from_seg_ends(payload, seg_byte_ends: np.ndarray
         [None, pa.py_buffer(offs.tobytes()), pa.py_buffer(payload)])
 
 
-# --- the payload codecs -----------------------------------------------------
+# --- the payload codec -----------------------------------------------------
 # Every ``*_enc`` column is a run of segments (a posting block, or one
-# (skey, term) row of the merge shuffle), one binary value per segment.
-# "varint" concatenates LEB128 values, so its segments decode as one
-# stream; "bitpack" frames each segment (width byte + packed bits), so its
-# decode needs the per-segment value counts.
+# (skey, term) row of the merge shuffle), one binary value per segment:
+# the segment's LEB128 varints, so any run of segments decodes as one
+# stream. Positions use the same coding.
 
-def _varint_segments(vals: np.ndarray, seg_counts: np.ndarray
-                     ) -> pa.BinaryArray:
-    payload, ends = encode_varints(vals)
-    return _segment_binary(payload, ends, seg_counts)
-
-
-def _bitpack_segments(vals: np.ndarray, seg_counts: np.ndarray
-                      ) -> pa.BinaryArray:
-    payload, seg_ends = pack_for_blocks(vals, seg_counts)
-    return _binary_from_seg_ends(payload, seg_ends)
+def check_codec(codec: str) -> None:
+    """Raise ValueError unless ``codec`` names the one payload coding,
+    "varint" (an index that records no codec is varint)."""
+    if codec != "varint":
+        raise ValueError(f"unknown posting codec {codec!r}: postings are "
+                         f"read and written only as 'varint'")
 
 
-_CODECS = {
-    "varint": (_varint_segments, lambda data, _counts: decode_varints(data)),
-    "bitpack": (_bitpack_segments, unpack_for_blocks),
-}
-# position lists are varint in every index (gap-coded positions are small,
-# and a phrase check decodes only the postings it gathers); a varint
-# stream decodes without per-segment counts
-POSITION_CODEC = "varint"
-
-
-def _codec_fns(codec: str):
-    try:
-        return _CODECS[codec]
-    except KeyError:
-        raise ValueError(f"unknown posting codec {codec!r}") from None
-
-
-def encode_segments(vals: np.ndarray, seg_counts: np.ndarray,
-                    codec: str) -> pa.BinaryArray:
+def encode_segments(vals: np.ndarray, seg_counts: np.ndarray
+                    ) -> pa.BinaryArray:
     """One binary value per segment, segment i holding seg_counts[i]
-    consecutive ``vals`` coded with ``codec``."""
-    return _codec_fns(codec)[0](
-        np.ascontiguousarray(vals, np.uint64), seg_counts)
+    consecutive ``vals`` as varints (zero-copy over the encoded
+    buffer)."""
+    payload, ends = encode_varints(vals)
+    return _binary_from_seg_ends(payload, _group_ends(ends, seg_counts))
 
 
-def decode_segments(col, seg_counts: np.ndarray, codec: str) -> np.ndarray:
+def decode_segments(col) -> np.ndarray:
     """Inverse of :func:`encode_segments` over a binary column (any row
-    subset, with its per-row value counts): the values, concatenated."""
-    dec = _codec_fns(codec)[1]
-    return dec(np.frombuffer(_cat_binary(col), np.uint8), seg_counts)
+    subset): the values, concatenated."""
+    return decode_varints(np.frombuffer(_cat_binary(col), np.uint8))
 
 
-def first_value(enc: bytes, codec: str) -> int:
+def first_value(enc: bytes) -> int:
     """The first value of one segment's payload (0 for an empty one)."""
     if not enc:
         return 0
-    dec = _codec_fns(codec)[1]
-    return int(dec(np.frombuffer(enc, np.uint8), np.ones(1, np.int64))[0])
+    return int(decode_varints(np.frombuffer(enc, np.uint8))[0])
 
 
 def concat_segments(payloads, seg_counts: np.ndarray) -> pa.BinaryArray:
@@ -326,8 +215,7 @@ def position_ranges(tbl: pa.Table
     post_ends[i+1]`` is posting i's payload) — found from the varint
     terminators, without decoding any position. Raises KeyError on a
     table without positions."""
-    npos = decode_segments(tbl.column("npos_enc"), None,
-                           POSITION_CODEC).astype(np.int64)
+    npos = decode_segments(tbl.column("npos_enc")).astype(np.int64)
     pos_bytes = np.frombuffer(_cat_binary(tbl.column("pos_enc")), np.uint8)
     val_ends = np.nonzero((pos_bytes & 0x80) == 0)[0] + 1
     post_ends = np.zeros(len(npos) + 1, np.int64)
@@ -404,8 +292,7 @@ def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
                      block_size: int = BLOCK_SIZE_DEFAULT,
                      npos: np.ndarray | None = None,
                      pos_payloads: np.ndarray | None = None,
-                     stripe_size: int | None = None,
-                     codec: str = "varint") -> pa.Table:
+                     stripe_size: int | None = None) -> pa.Table:
     """Encode one shuffle partition — rows sorted by (term, doc_id) — into
     posting-block rows. ``terms`` is an object/str numpy array aligned with
     the numeric columns.
@@ -468,9 +355,9 @@ def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
     gaps = np.empty(n, np.uint64)
     gaps[0] = 0
     gaps[1:] = doc_ids[1:] - doc_ids[:-1] - 1
-    ids_enc = encode_segments(gaps[~block_start], bcounts - 1, codec)
-    tfs_enc = encode_segments(tfs, bcounts, codec)
-    dls_enc = encode_segments(doclens, bcounts, codec)
+    ids_enc = encode_segments(gaps[~block_start], bcounts - 1)
+    tfs_enc = encode_segments(tfs, bcounts)
+    dls_enc = encode_segments(doclens, bcounts)
 
     bend_idx = np.append(bstart_idx[1:], n) - 1
     max_wdf = np.maximum.reduceat(tfs, bstart_idx)
@@ -490,7 +377,7 @@ def encode_partition(terms: np.ndarray, doc_ids: np.ndarray,
         pa.array(sum_wdf.astype(np.uint64)),
     ]
     if npos is not None:
-        cols += [encode_segments(npos, bcounts, POSITION_CODEC),
+        cols += [encode_segments(npos, bcounts),
                  concat_segments(pos_payloads, bcounts)]
     return pa.Table.from_arrays(
         cols, schema=blocks_schema(positions=npos is not None))
@@ -500,8 +387,9 @@ def decode_blocks(blocks: pa.Table, codec: str = "varint"
                   ) -> tuple[np.ndarray, np.ndarray,
                              np.ndarray, np.ndarray]:
     """Decode posting-block rows (any subset, in (term, block_id) order) into
-    flat (doc_ids, tfs, doclens, block_row_index) arrays. ``codec`` must
-    match the index's global_stats["codec"]."""
+    flat (doc_ids, tfs, doclens, block_row_index) arrays. ``codec`` is
+    accepted for callers that name it and must be "varint"."""
+    check_codec(codec)
     nb = len(blocks)
     if nb == 0:
         e = np.empty(0, np.uint64)
@@ -509,9 +397,9 @@ def decode_blocks(blocks: pa.Table, codec: str = "varint"
     ns = blocks.column("n").to_numpy().astype(np.int64)
     firsts = blocks.column("first_doc_id").to_numpy().astype(np.uint64)
 
-    gaps = decode_segments(blocks.column("ids_enc"), ns - 1, codec)
-    tfs = decode_segments(blocks.column("tfs_enc"), ns, codec)
-    dls = decode_segments(blocks.column("dls_enc"), ns, codec)
+    gaps = decode_segments(blocks.column("ids_enc"))
+    tfs = decode_segments(blocks.column("tfs_enc"))
+    dls = decode_segments(blocks.column("dls_enc"))
 
     m = _ctok()
     doc_ids = _ids_from_gaps(gaps, firsts, ns)
@@ -524,7 +412,7 @@ def decode_blocks(blocks: pa.Table, codec: str = "varint"
     return doc_ids, tfs, dls, block_of
 
 
-def decode_postings(blocks: pa.Table, codec: str = "varint") -> tuple:
+def decode_postings(blocks: pa.Table) -> tuple:
     """Posting-block rows of one (term-part, doc-bucket) — possibly read
     from several segments' files, whose doc ranges never overlap — back to
     flat postings sorted by (term, doc_id), ready for
@@ -535,7 +423,7 @@ def decode_postings(blocks: pa.Table, codec: str = "varint") -> tuple:
     blocks = blocks.take(pc.sort_indices(
         blocks, sort_keys=[("term", "ascending"),
                            ("first_doc_id", "ascending")]))
-    ids, tfs, dls, block_of = decode_blocks(blocks, codec)
+    ids, tfs, dls, block_of = decode_blocks(blocks)
     out = [blocks.column("term").take(pa.array(block_of)), ids, tfs, dls]
     if "npos_enc" in blocks.column_names:
         npos, pos_bytes, post_ends = position_ranges(blocks)
@@ -588,7 +476,7 @@ def _ids_from_gaps(gaps: np.ndarray, firsts: np.ndarray,
     return np.repeat(np.ascontiguousarray(firsts, np.uint64), ns) + within
 
 
-def decode_partial_group(group: pa.Table, codec: str = "varint") -> tuple:
+def decode_partial_group(group: pa.Table) -> tuple:
     """Decode one shuffle group of PACKED partial posting rows
     (skey, term, n, first_id, ids_enc, tfs_enc, dls_enc
     [, npos_enc, pos_enc]) into flat arrays sorted by (term, doc_id),
@@ -596,8 +484,7 @@ def decode_partial_group(group: pa.Table, codec: str = "varint") -> tuple:
 
         (terms:pa.Array, doc_ids, tfs, dls[, npos, pos_payloads])
 
-    ``codec`` is the index's codec (the shuffle exchanges payloads in
-    it). The merge is pure numpy: rows sort by term (Arrow), payloads decode in
+    The merge is pure numpy: rows sort by term (Arrow), payloads decode in
     one pass, the (term, doc_id) order comes from an integer lexsort over
     (dense term rank, doc_id) — no Python string comparisons."""
     order_rows = pc.sort_indices(group, sort_keys=[("term", "ascending")])
@@ -605,9 +492,9 @@ def decode_partial_group(group: pa.Table, codec: str = "varint") -> tuple:
     seg_n = g.column("n").to_numpy().astype(np.int64)
     nrows = len(seg_n)
     firsts = g.column("first_id").to_numpy().astype(np.uint64)
-    gaps = decode_segments(g.column("ids_enc"), seg_n - 1, codec)
-    tfs = decode_segments(g.column("tfs_enc"), seg_n, codec)
-    dls = decode_segments(g.column("dls_enc"), seg_n, codec)
+    gaps = decode_segments(g.column("ids_enc"))
+    tfs = decode_segments(g.column("tfs_enc"))
+    dls = decode_segments(g.column("dls_enc"))
     ids = _ids_from_gaps(gaps, firsts, seg_n)
 
     terms_col = g.column("term").combine_chunks()
@@ -643,9 +530,8 @@ def decode_positions(blocks: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     if nb == 0:
         return np.zeros(1, np.int64), np.empty(0, np.uint64)
 
-    counts = decode_segments(blocks.column("npos_enc"), None,
-                             POSITION_CODEC).astype(np.int64)
-    vals = decode_segments(blocks.column("pos_enc"), None, POSITION_CODEC)
+    counts = decode_segments(blocks.column("npos_enc")).astype(np.int64)
+    vals = decode_segments(blocks.column("pos_enc"))
     offsets = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     if len(vals) == 0:

@@ -170,14 +170,8 @@ class IndexReader:
                         best[term] = (did, enc)
             for term in missing:
                 hit = best.get(term)
-                cache[term] = 0 if hit is None else \
-                    first_value(hit[1], self.codec)
+                cache[term] = 0 if hit is None else first_value(hit[1])
         return {t: cache[t] for t in set(terms)}
-
-    @property
-    def codec(self) -> str:
-        """The posting payload codec the index was written with."""
-        return self.gstats.get("codec", "varint")
 
     @property
     def has_positions(self) -> bool:
@@ -317,45 +311,38 @@ class IndexReader:
         if len(ts):
             out = out[~np.isin(out, ts)]
         if bucket is not None and self.S > 1:
-            dpb = int(self.gstats.get("docs_per_bucket", 1 << 32))
+            dpb = int(self.gstats["docs_per_bucket"])
             keep = (out // dpb) % self.S == bucket
             out = out[keep]
         cache[bucket] = out
         return out
 
-    def payloads_for(self, doc_ids: list[int]) -> dict[int, str]:
-        """doc_id -> stored payload (Document::get_data analog). Empty dict
-        when the index was built without ``store_payload``."""
+    def _doc_column(self, doc_ids: list[int], col: str) -> dict[int, object]:
+        """doc_id -> ``col`` of those docs, from every segment's
+        tokenized/ (which doubles as the docs table): a filtered read
+        pruned to (doc_id, col), so the fat terms/tfs list columns are
+        never touched. Segments without the column contribute nothing."""
         if not doc_ids:
             return {}
         flt = pc.field("doc_id").isin([int(d) for d in doc_ids])
-        out: dict[int, str] = {}
+        out: dict[int, object] = {}
         for seg in self.segments:
             d = os.path.join(self.index_dir, seg, "tokenized")
             if not os.path.isdir(d):
                 continue
             ds = pads.dataset(d)
-            if "payload" not in ds.schema.names:
+            if col not in ds.schema.names:
                 continue
-            t = ds.to_table(filter=flt, columns=["doc_id", "payload"])
+            t = ds.to_table(filter=flt, columns=["doc_id", col])
             out.update(zip(t.column("doc_id").to_pylist(),
-                           t.column("payload").to_pylist()))
+                           t.column(col).to_pylist()))
         return out
 
+    def payloads_for(self, doc_ids: list[int]) -> dict[int, str]:
+        """doc_id -> stored payload (Document::get_data analog). Empty dict
+        when the index was built without ``store_payload``."""
+        return self._doc_column(doc_ids, "payload")
+
     def urls_for(self, doc_ids: list[int]) -> dict[int, str]:
-        """doc_id -> url lookup. tokenized/ doubles as the docs table — the
-        parquet read prunes to the (doc_id, url) columns, so the fat
-        terms/tfs list columns are never touched."""
-        if not doc_ids:
-            return {}
-        flt = pc.field("doc_id").isin([int(d) for d in doc_ids])
-        out: dict[int, str] = {}
-        for seg in self.segments:
-            d = os.path.join(self.index_dir, seg, "tokenized")
-            if not os.path.isdir(d):
-                continue
-            t = pads.dataset(d).to_table(filter=flt,
-                                         columns=["doc_id", "url"])
-            out.update(zip(t.column("doc_id").to_pylist(),
-                           t.column("url").to_pylist()))
-        return out
+        """doc_id -> url lookup."""
+        return self._doc_column(doc_ids, "url")

@@ -118,7 +118,7 @@ from .build import (
     url_map_lookup,
     write_url_map,
 )
-from .codec import decode_postings, encode_partition
+from .codec import check_codec, decode_postings, encode_partition
 
 # a merge folds a trailing run of segments whose doc counts stay within
 # this factor of the next older one (see the module docstring)
@@ -142,9 +142,13 @@ def _segments_path(index_dir: str) -> str:
 def load_segments(index_dir: str) -> dict:
     """The committed state. Its ``global_stats`` snapshot, not
     ``global_stats.json``, is authoritative: a crash between the two
-    writes must not let a re-run double-count."""
+    writes must not let a re-run double-count. Every reader, update,
+    delete and compaction opens an index here, so an index whose payload
+    codec this engine cannot read fails here (ValueError)."""
     with open(_segments_path(index_dir)) as f:
-        return json.load(f)
+        segs = json.load(f)
+    check_codec(segs["global_stats"].get("codec", "varint"))
+    return segs
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -432,8 +436,7 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
             if os.path.exists(p)]
     if not tabs:
         return (0, *none)
-    terms, ids, tfs, dls, *pos = decode_postings(pa.concat_tables(tabs),
-                                                 cfg.codec)
+    terms, ids, tfs, dls, *pos = decode_postings(pa.concat_tables(tabs))
     keep = ~np.isin(ids, dead)
     pos_kw = {}
     if pos:
@@ -441,7 +444,7 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
                   "pos_payloads": pos[1].filter(pa.array(keep))}
     blocks = encode_partition(
         terms.filter(pa.array(keep)), ids[keep], tfs[keep], dls[keep],
-        block_size=cfg.block_size, codec=cfg.codec,
+        block_size=cfg.block_size,
         stripe_size=docs_per_bucket if cfg.num_doc_buckets > 1 else None,
         **pos_kw)
     if not len(blocks):
@@ -599,10 +602,12 @@ def update_index(index_dir: str,
                  dataset=None,
                  cfg: IndexConfig | None = None,
                  dataset_fn=None) -> dict:
-    """Upsert new/changed docs into an existing index. Input shape matches
-    build_index (pages parquet paths, or a Dataset with url + text/html, or
-    an already-tokenized Dataset); ``paths`` go to ``build_index`` as
-    paths, so a small batch builds on the driver. Docs whose url already
+    """Upsert new/changed docs into an existing index. Input is exactly
+    one of ``paths``, ``dataset`` and ``dataset_fn`` (ValueError
+    otherwise, before anything is written); its shape matches build_index
+    (pages parquet paths, or a Dataset with url + text/html, or an
+    already-tokenized Dataset). ``paths`` go to ``build_index`` as paths,
+    so a small batch builds on the driver. Docs whose url already
     exists replace the old version (old doc_id tombstoned). Returns the
     updated global stats.
 
@@ -619,6 +624,9 @@ def update_index(index_dir: str,
     tokenized rows (``_stats_deltas_for``: a distributed, file-pruned pass
     over the files whose id range holds a replaced doc), so
     termfreq/collfreq stay exact."""
+    if sum(x is not None for x in (paths, dataset, dataset_fn)) != 1:
+        raise ValueError("update_index takes exactly one input: paths=, "
+                         "dataset= or dataset_fn=")
     segs = load_segments(index_dir)
     g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
@@ -634,7 +642,7 @@ def update_index(index_dir: str,
     checkpoint.clear_dir(seg_dir)
 
     # ---- build the delta segment as a complete mini-index ------------------
-    if dataset is None and dataset_fn is not None:
+    if dataset_fn is not None:
         # file-rank ids continuing the index's id space: no assign_doc_ids
         # sort (the update path's last all-to-all) for file-backed input
         dataset = dataset_fn(segs["next_doc_id"])

@@ -51,19 +51,16 @@ def _docs_dataset(sf_dir: str):
     return ds.map_batches(add_url, batch_format="pyarrow")
 
 
-def documents_index(sf_dir: str, positions: bool = False,
-                    codec: str = "varint") -> str:
+def documents_index(sf_dir: str, positions: bool = False) -> str:
     """Build (once, cached+resumable) a simple-mode index over the documents
     table; doc_ids are the table's own doc_id column."""
     tag = "simple-pos" if positions else "simple"
-    if codec != "varint":
-        tag += f"-{codec}"
     key = hashlib.md5(f"{sf_dir}|v{__version__}|{tag}".encode()).hexdigest()[:12]
     out = os.path.join(_CACHE_ROOT, f"docs-{key}")
     if not checkpoint.is_done(out, "_INDEX_DONE"):
         cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=8,
                           num_doc_buckets=1, block_size=128,
-                          positions=positions, codec=codec)
+                          positions=positions)
         build_index(out, dataset=_docs_dataset(sf_dir), cfg=cfg)
         checkpoint.mark_done(out, "_INDEX_DONE")
     return out
@@ -85,10 +82,9 @@ def _or_node(terms: list[str]):
         else Or(tuple(Term(t) for t in terms))
 
 
-def bm25_topk(sf_dir: str, terms: list[str], k: int = 10,
-              codec: str = "varint") -> pa.Table:
+def bm25_topk(sf_dir: str, terms: list[str], k: int = 10) -> pa.Table:
     """(rank, doc_id, score) for a weighted-OR query, classic BM25 profile."""
-    idx = documents_index(sf_dir, codec=codec)
+    idx = documents_index(sf_dir)
     node = _or_node(terms)
     qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
     out = qx.search(idx, node, qcfg)

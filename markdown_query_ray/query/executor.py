@@ -370,8 +370,7 @@ class Evaluator:
         if not missing:
             return
         blocks = self.reader.load_blocks(missing, self.bucket)
-        ids, tfs, dls, block_of = decode_blocks(blocks,
-                                                codec=self.reader.codec)
+        ids, tfs, dls, block_of = decode_blocks(blocks)
         bterms = np.asarray(blocks.column("term").to_pylist(), dtype=object)
         nb = len(bterms)
         # positions are NOT decoded here: each Postings keeps its block

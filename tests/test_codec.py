@@ -57,64 +57,6 @@ def test_varint_c_numpy_parity(vals):
     assert decode_varints(payload).tolist() == vals
 
 
-@given(st.lists(st.tuples(
-    st.integers(min_value=0, max_value=6),          # seg length
-    st.integers(min_value=0, max_value=2**64 - 1)), # magnitude seed
-    max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_bitpack_c_numpy_parity(segs):
-    """pack_for_blocks / unpack_for_blocks: C kernel vs numpy fallback must
-    agree byte-for-byte, and round-trip exactly."""
-    from markdown_query_ray.index.codec import (
-        _pack_for_np,
-        _unpack_for_np,
-        pack_for_blocks,
-        unpack_for_blocks,
-    )
-
-    counts = np.array([k for k, _ in segs], np.int64)
-    vals = np.concatenate(
-        [np.array([(m * (j + 1)) % (2**64) for j in range(k)], np.uint64)
-         for k, m in segs] or [np.empty(0, np.uint64)])
-    payload, ends = pack_for_blocks(vals, counts)
-    p_np, e_np = _pack_for_np(vals, counts)
-    assert np.array_equal(payload, p_np)
-    assert np.array_equal(ends, e_np)
-    assert np.array_equal(unpack_for_blocks(payload, counts), vals)
-    assert np.array_equal(_unpack_for_np(
-        np.frombuffer(payload.tobytes(), np.uint8), counts), vals)
-
-
-def test_bitpack_partition_roundtrip():
-    """encode_partition(codec="bitpack") must decode to the same flat
-    postings as the varint encoding of the same input."""
-    rng = np.random.RandomState(7)
-    n = 1000
-    terms = np.array(sorted(f"t{rng.randint(5)}" for _ in range(n)),
-                     dtype=object)
-    ids = np.sort(rng.choice(10 * n, n, replace=False).astype(np.uint64))
-    # re-sort ids within each term run so (term, doc_id) holds
-    start = 0
-    for t in np.unique(terms):
-        k = int((terms == t).sum())
-        ids[start:start + k] = np.sort(ids[start:start + k])
-        start += k
-    tfs = rng.randint(1, 50, n).astype(np.uint64)
-    dls = rng.randint(100, 5000, n).astype(np.uint64)
-    bv = encode_partition(terms, ids, tfs, dls, block_size=16,
-                          codec="varint")
-    bb = encode_partition(terms, ids, tfs, dls, block_size=16,
-                          codec="bitpack")
-    # identical block metadata, different payloads
-    for col in ["term", "block_id", "first_doc_id", "last_doc_id", "n",
-                "max_wdf", "min_doclen", "sum_wdf"]:
-        assert bv.column(col).equals(bb.column(col)), col
-    dv = decode_blocks(bv, codec="varint")
-    db = decode_blocks(bb, codec="bitpack")
-    for a, b in zip(dv, db):
-        assert np.array_equal(a, b)
-
-
 def _roundtrip(terms, ids, tfs, dls, block_size):
     t = np.array(terms, dtype=object)
     blocks = encode_partition(t, np.array(ids, np.uint64),
@@ -228,12 +170,12 @@ def test_seg_prefix_sum_kernel_matches_numpy():
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("positions", [False, True])
-@pytest.mark.parametrize("codec", ["varint", "bitpack"])
-def test_partial_rows_roundtrip(codec, positions):
-    """The merge shuffle's partial rows (PartialPostingsStage, coded in the
-    index codec) decode back, per shuffle group, to exactly the postings
-    the staging rows hold, in (term, doc_id) order."""
+@pytest.mark.parametrize("positions", [False, True],
+                         ids=["varint-False", "varint-True"])
+def test_partial_rows_roundtrip(positions):
+    """The merge shuffle's partial rows (PartialPostingsStage) decode
+    back, per shuffle group, to exactly the postings the staging rows
+    hold, in (term, doc_id) order."""
     from markdown_query_ray.config import IndexConfig
     from markdown_query_ray.index.build import PartialPostingsStage, term_part
     from markdown_query_ray.index.codec import (
@@ -244,7 +186,7 @@ def test_partial_rows_roundtrip(codec, positions):
     from markdown_query_ray.stages.tokenize import staging_table
 
     rng = np.random.default_rng(5)
-    cfg = IndexConfig(num_term_parts=3, num_doc_buckets=2, codec=codec,
+    cfg = IndexConfig(num_term_parts=3, num_doc_buckets=2,
                       positions=positions)
     dpb = 1000
     vocab = [f"w{i}" for i in range(25)]
@@ -275,8 +217,7 @@ def test_partial_rows_roundtrip(codec, positions):
     skeys = rows.column("skey").to_numpy()
     assert sorted(set(skeys.tolist())) == sorted({w[0] for w in want})
     for k in set(skeys.tolist()):
-        got = decode_partial_group(rows.filter(pa.array(skeys == k)),
-                                   codec=codec)
+        got = decode_partial_group(rows.filter(pa.array(skeys == k)))
         exp = sorted(w[1:] for w in want if w[0] == k)
         cols = [got[0].to_pylist()] + [c.tolist() for c in got[1:4]]
         if positions:
@@ -288,10 +229,6 @@ def test_partial_rows_roundtrip(codec, positions):
 
 
 def test_unknown_codec_raises():
-    with pytest.raises(ValueError, match="unknown posting codec"):
-        encode_partition(np.array(["a"], dtype=object),
-                         np.array([1], np.uint64), np.array([1], np.uint64),
-                         np.array([1], np.uint64), codec="zstd")
     blocks = _roundtrip(["x"], [7], [3], [11], 128)
     with pytest.raises(ValueError, match="unknown posting codec"):
         decode_blocks(blocks, codec="zstd")

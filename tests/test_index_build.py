@@ -153,46 +153,6 @@ def test_parallelism_invariance(ray_session, pages_corpus, tmp_path,
         assert a[2].tolist() == b[2].tolist()
 
 
-def test_bitpack_codec_equivalent(ray_session, pages_corpus, tmp_path,
-                                  built_index):
-    """An index built with codec="bitpack" must decode to identical posting
-    lists and return identical search results (ranks AND scores) as the
-    varint index over the same corpus. The merge shuffle exchanges
-    bitpack partial rows here, so this also checks that the shuffle codec
-    never reaches disk beyond the payloads: same block boundaries, same
-    stats."""
-    out = str(tmp_path / "idx_bp")
-    cfg = IndexConfig(num_term_parts=4, num_doc_buckets=2, block_size=32,
-                      codec="bitpack")
-    gstats = build_index(out, paths=pages_corpus, cfg=cfg)
-    assert gstats["codec"] == "bitpack"
-    base_g = built_index[2]
-    assert gstats["n_docs"] == base_g["n_docs"]
-    assert gstats["total_doclen"] == base_g["total_doclen"]
-    rb = IndexReader(out)
-    rv = IndexReader(built_index[0])
-    for term in ["the", "Zthe", "xqzraretri", "uncle"]:
-        a = decode_blocks(rv.load_blocks([term]), codec="varint")
-        b = decode_blocks(rb.load_blocks([term]), codec="bitpack")
-        for x, y in zip(a, b):
-            assert x.tolist() == y.tolist(), term
-        assert rv.term_stats([term]) == rb.term_stats([term])
-    assert rb.first_wdf(["the", "xqzraretri"]) == \
-        rv.first_wdf(["the", "xqzraretri"])
-    from markdown_query_ray.config import BM25Params, QueryConfig
-    from markdown_query_ray.query import executor as qx
-    from markdown_query_ray.query.compiler import parse_user_query
-
-    qc = QueryConfig(k=20, params=BM25Params.xapian(), use_wand=True)
-    for q in ["the quick merge", "merge AND sort", "xqzraretri"]:
-        hv = qx.search(built_index[0], parse_user_query(q), qc)
-        hb = qx.search(out, parse_user_query(q), qc)
-        assert hv.column("doc_id").to_pylist() == \
-            hb.column("doc_id").to_pylist(), q
-        assert hv.column("score").to_pylist() == \
-            pytest.approx(hb.column("score").to_pylist(), rel=1e-12), q
-
-
 def test_staging_partial_write_cleared(ray_session, pages_corpus, tmp_path):
     """A crash mid-staging-write (parquet files present, no _SUCCESS) must
     NOT double the corpus on re-run: the rebuild clears stale staging
@@ -429,3 +389,30 @@ def test_build_crash_at_every_write(ray_session, tmp_path, monkeypatch):
         assert not os.path.exists(os.path.join(out, "segments.json")), k
         build_index(out, paths=paths, cfg=cfg)
         assert _index_state(out) == want, k
+
+
+def test_build_and_update_take_exactly_one_input(ray_session, built_index,
+                                                 pages_corpus, tmp_path):
+    """No input, or two, raise ValueError before anything is written: no
+    ``out_dir`` for a build, no new file in the index for an update (with
+    ``paths`` and ``dataset`` both given, a build used to tokenize the
+    dataset but size its doc buckets from the paths' row counts)."""
+    import ray.data
+
+    from markdown_query_ray.index.update import update_index
+
+    ds = ray.data.from_items([{"url": "u0", "text": "alpha"}])
+    out = str(tmp_path / "idx")
+    for kw in ({}, {"paths": pages_corpus, "dataset": ds}):
+        with pytest.raises(ValueError, match="exactly one input"):
+            build_index(out, **kw)
+        assert not os.path.exists(out)
+
+    idx = built_index[0]
+    before = sorted(os.walk(idx))
+    for kw in ({}, {"paths": pages_corpus, "dataset": ds},
+               {"paths": pages_corpus, "dataset_fn": lambda base: ds},
+               {"dataset": ds, "dataset_fn": lambda base: ds}):
+        with pytest.raises(ValueError, match="exactly one input"):
+            update_index(idx, **kw)
+    assert sorted(os.walk(idx)) == before

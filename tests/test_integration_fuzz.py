@@ -1,11 +1,11 @@
 """Cross-feature integration fuzz: random corpora through random
-(tokenizer, stem, codec, P, S, block_size, positions) configs, then a
+(tokenizer, stem, P, S, block_size, positions) configs, then a
 random update and a compact, comparing WAND and exhaustive top-k, in-process
 and on the default (per-bucket Ray task) path, against the dict-based oracle
 at every step.
 
 Per-feature suites cover each axis in isolation; this test exercises the
-INTERACTIONS (bitpack x tombstones x salted stripes x WAND bounds x stem
+INTERACTIONS (positions x tombstones x salted stripes x WAND bounds x stem
 doclen accounting) that no single-feature test composes. Seeded, so a
 failure reproduces exactly.
 """
@@ -128,9 +128,10 @@ def test_build_update_compact_fuzz(ray_session, tmp_path, seed):
     rng = random.Random(seed)
     tokenizer = rng.choice(["simple", "xapian"])
     stem = tokenizer == "xapian" and rng.random() < 0.7
+    # the dropped codec axis: its draw stays so each seed keeps the rest
+    rng.choice((0, 1))
     cfg = IndexConfig(
         tokenizer=tokenizer, stem=stem,
-        codec=rng.choice(["varint", "bitpack"]),
         positions=rng.random() < 0.3,
         num_term_parts=rng.choice([1, 2, 4]),
         num_doc_buckets=rng.choice([1, 2, 3]),
@@ -172,7 +173,6 @@ def test_build_update_compact_fuzz(ray_session, tmp_path, seed):
     cidx = str(tmp_path / "cidx")
     g2 = compact(idx, cidx)
     assert g2["n_docs"] == oracle.n_docs
-    assert g2["codec"] == cfg.codec
     _check_queries(rng, idx if rng.random() < 0.3 else cidx, oracle,
                    f"seed={seed} compacted cfg={cfg}")
     assert os.path.exists(os.path.join(cidx, "_manifest.jsonl"))

@@ -197,14 +197,14 @@ def _written(idx: str) -> dict:
             "next_doc_id": up.load_segments(idx)["next_doc_id"]}
 
 
-@pytest.mark.parametrize("codec,positions,ray_leg,history", [
-    pytest.param("varint", False, False, "updates", id="varint-False-False"),
-    pytest.param("bitpack", True, False, "updates", id="bitpack-True-False"),
-    pytest.param("varint", True, True, "updates", id="varint-True-True"),
-    pytest.param("bitpack", False, False, "all-deleted", id="all-deleted"),
+@pytest.mark.parametrize("positions,ray_leg,history", [
+    pytest.param(False, False, "updates", id="varint-False-False"),
+    pytest.param(True, False, "updates", id="varint-True-False"),
+    pytest.param(True, True, "updates", id="varint-True-True"),
+    pytest.param(False, False, "all-deleted", id="all-deleted"),
 ])
-def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
-                        positions, ray_leg, history):
+def test_merge_identity(ray_session, tmp_path, monkeypatch, positions,
+                        ray_leg, history):
     """A merge changes no answer of the reader (termfreq and collfreq of
     every term, urls, payloads, bucket universes, search hits) and
     tightens each wdf_ub to between the live max wdf and its old value;
@@ -215,7 +215,7 @@ def test_merge_identity(ray_session, tmp_path, monkeypatch, codec,
     if ray_leg:
         monkeypatch.setattr(up, "_MERGE_DRIVER_BYTES", 0)
     cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
-                      num_doc_buckets=2, block_size=4, codec=codec,
+                      num_doc_buckets=2, block_size=4,
                       positions=positions, store_payload=True)
     idx = str(tmp_path / "idx")
     _build(idx, _base_rows(10), cfg)

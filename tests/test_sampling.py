@@ -58,10 +58,13 @@ def test_repeat_deterministic_across_runs_and_partitions(ray_session):
     import ray.data
 
     t = _table(300)
+    # Ray Data does not keep block order, and a doc's copies share its
+    # doc_id: sort on the full row key so only content is compared
+    key = ["doc_id", "copy_idx"]
     a = weighted_repeat(ray.data.from_arrow(t).repartition(2), WEIGHTS) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        .to_pandas().sort_values(key).reset_index(drop=True)
     b = weighted_repeat(ray.data.from_arrow(t).repartition(7), WEIGHTS) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+        .to_pandas().sort_values(key).reset_index(drop=True)
     assert a.equals(b)
 
 

@@ -57,35 +57,34 @@ def _search_ids(idx, term, k=100):
     return set(out.column("doc_id").to_pylist())
 
 
-def test_update_preserves_bitpack_codec(ray_session, tmp_path):
-    """update_index / compact on a codec="bitpack" base must keep encoding
-    bitpack (cfg reconstruction from global_stats) and stay queryable."""
+def test_index_with_another_codec_is_refused(base_index, tmp_path):
+    """An index whose commit state records a payload codec other than
+    varint fails loudly, naming it, wherever it is opened: the reader,
+    an update, a delete and compaction; the index is left as it was."""
+    import json
+
     import ray.data
 
-    cfg = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
-                      num_doc_buckets=1, block_size=16, codec="bitpack")
-    rows = [(f"u{i}", f"alpha beta doc{i}") for i in range(10)]
-    p = str(tmp_path / "b.parquet")
-    _pages(rows, p)
-    idx = str(tmp_path / "idx")
-    build_index(idx, dataset=ray.data.read_parquet(p), cfg=cfg,
-                total_docs=10)
-    p2 = str(tmp_path / "d.parquet")
-    _pages([("u3", "alpha delta doc3"), ("u100", "alpha new delta")], p2,
-           base_id=10)
-    update_index(idx, dataset=ray.data.read_parquet(p2))
-    seg_stats = os.path.join(idx, "updates", "gen-0001",
-                             "global_stats.json")
-    import json
-    assert json.load(open(seg_stats))["codec"] == "bitpack"
-    assert _search_ids(idx, "delta") == {10, 11}
-    assert _search_ids(idx, "alpha") == (set(range(10)) - {3}) | {10, 11}
-    out = str(tmp_path / "cidx")
-    compact(idx, out)
-    assert json.load(open(os.path.join(out, "global_stats.json")))[
-        "codec"] == "bitpack"
-    assert _search_ids(out, "delta") == {10, 11}
-    assert _search_ids(out, "alpha") == (set(range(10)) - {3}) | {10, 11}
+    from markdown_query_ray.index.update import delete_documents
+
+    idx, _ = base_index
+    path = os.path.join(idx, "segments.json")
+    with open(path) as f:
+        segs = json.load(f)
+    segs["global_stats"]["codec"] = "bitpack"
+    with open(path, "w") as f:
+        json.dump(segs, f)
+    before = sorted(os.walk(idx))
+    upd = str(tmp_path / "upd.parquet")
+    _pages([("u1", "alpha new")], upd, base_id=20)
+    opens = [lambda: IndexReader(idx),
+             lambda: update_index(idx, dataset=ray.data.read_parquet(upd)),
+             lambda: delete_documents(idx, ["u1"]),
+             lambda: compact(idx, str(tmp_path / "compacted"))]
+    for open_index in opens:
+        with pytest.raises(ValueError, match="'bitpack'"):
+            open_index()
+    assert sorted(os.walk(idx)) == before
 
 
 def test_update_and_compact_keep_payload_and_cjk_settings(ray_session,

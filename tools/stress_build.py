@@ -1,11 +1,10 @@
-"""Build-scale stress / merge-shuffle A-B harness (VERDICT r2 item 3).
+"""Build-scale stress harness for the merge shuffle (VERDICT r2 item 3).
 
 Round 2 measured the 4M-doc build's merge shuffle spilling out of the
 object store (224.8 s vs 64.5 s at 2M). This tool reruns the corpus-sweep
-build at a given size with interleaved A/B legs over the index codec
-(varint vs bitpack; the merge shuffle exchanges payloads in the index's
-codec, so this compares both the shuffle bytes and the on-disk format)
-and reports per-stage metrics plus Ray's spill counters.
+build at a given size for repeated legs of one config and reports each
+leg's per-stage metrics plus Ray's spill counters, then the best merge
+shuffle time and every leg's wall time.
 
 Corpus files are cached per (docs, token_scale) under /tmp and reused.
 
@@ -80,11 +79,9 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--docs", type=int, default=2_000_000)
     ap.add_argument("--legs", type=int, default=2,
-                    help="interleaved repeats per variant")
+                    help="repeated builds of the same config")
     ap.add_argument("--parts", type=int, default=16)
     ap.add_argument("--buckets", type=int, default=2)
-    ap.add_argument("--skip-tokenize-cache", action="store_true",
-                    help="rebuild staging each leg instead of reusing")
     args = ap.parse_args()
 
     import ray
@@ -95,26 +92,17 @@ def main() -> None:
     from markdown_query_ray.config import IndexConfig
 
     paths = corpus(args.docs)
-    variants = {
-        "varint": IndexConfig(num_term_parts=args.parts,
-                              num_doc_buckets=args.buckets),
-        "bitpack": IndexConfig(num_term_parts=args.parts,
-                               num_doc_buckets=args.buckets,
-                               codec="bitpack"),
-    }
-    results: dict[str, list[dict]] = {k: [] for k in variants}
-    # interleave legs A B A B ... (VM noise discipline from BASELINE.md)
+    cfg = IndexConfig(num_term_parts=args.parts,
+                      num_doc_buckets=args.buckets)
+    results = []
     for leg in range(args.legs):
-        for name, cfg in variants.items():
-            out = f"/tmp/stress_build_idx_{name}"
-            r = one_leg(paths, cfg, out)
-            results[name].append(r)
-            print(f"[leg {leg}] {name}: {json.dumps(r)}", flush=True)
-            gc.collect()
-    for name, rs in results.items():
-        best = min(r["merge_shuffle_encode"] or 1e9 for r in rs)
-        print(f"{name}: best merge_shuffle_encode {best}s  "
-              f"walls {[r['wall'] for r in rs]}")
+        r = one_leg(paths, cfg, "/tmp/stress_build_idx")
+        results.append(r)
+        print(f"[leg {leg}] {json.dumps(r)}", flush=True)
+        gc.collect()
+    best = min(r["merge_shuffle_encode"] or 1e9 for r in results)
+    print(f"best merge_shuffle_encode {best}s  "
+          f"walls {[r['wall'] for r in results]}")
     ray.shutdown()
 
 
