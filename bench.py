@@ -110,7 +110,7 @@ def run_bench(sf_dir: str, num_cpus: int) -> dict:
         _build_pages_index([pages_path], idx_dir)
 
     # ---- queries over the built index --------------------------------------
-    qc_wand = QueryConfig(k=100, params=BM25Params.xapian(), use_wand=True)
+    qc_wand = QueryConfig(k=100, params=BM25Params.xapian())
     with timed("search_nl_wand"):
         qx.search(idx_dir, parse_user_query("the fast merge sort"), qc_wand)
     with timed("search_boolean"):

@@ -168,7 +168,7 @@ def _qcfg(args):
 
     params = BM25Params.classic() if args.profile == "classic" \
         else BM25Params.xapian()
-    return QueryConfig(k=args.k, params=params, use_wand=not args.no_wand)
+    return QueryConfig(k=args.k, params=params)
 
 
 def cmd_query(args) -> int:
@@ -267,7 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("-k", type=int, default=100)
         p.add_argument("--profile", default="xapian",
                        choices=["xapian", "classic"])
-        p.add_argument("--no-wand", action="store_true")
 
     q = sub.add_parser("query")
     q.add_argument("index")

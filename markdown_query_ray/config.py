@@ -130,8 +130,9 @@ class QueryConfig:
 
     k: int = 100
     params: BM25Params = field(default_factory=BM25Params.xapian)
-    # block-max top-k (executor.block_topk_tree) over OR trees of Term /
-    # SYNONYM leaves; False = the exhaustive reference path
+    # Ignored: the exhaustive evaluation is the only top-k path. Kept for
+    # perfbench/workloads.py, which passes use_wand=False; removed by the
+    # benchmark-only PR.
     use_wand: bool = True
 
     def __post_init__(self):

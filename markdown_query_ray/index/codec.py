@@ -14,9 +14,11 @@ columnar: fixed-size blocks (default 128 docs) of
   column, so salted sub-lists concatenate without re-encoding).
 - ``tfs_enc`` / ``dls_enc``: varint wdf and doclen per doc. Storing doclen in
   the posting block makes scoring self-contained (no doc-table join in the
-  scorer) — the per-block (max_wdf, min_doclen) pair is the max-score
-  metadata: score_ub(block) = w_t * sumpart(max_wdf, min_doclen), a per-block
-  refinement of BM25Weight::get_maxpart (weight/bm25weight.cc:176-201).
+  scorer).
+- ``max_wdf`` feeds each term's ``wdf_ub`` in the term stats.
+  ``min_doclen`` is still written, but no query path reads it: the
+  exhaustive evaluator needs no per-block score bound. Dropping the column
+  changes the on-disk format and needs its own format-version change.
 
 Everything encodes/decodes in whole-partition numpy passes: per-value byte
 lengths -> exclusive prefix sum -> one byte buffer, then per-block binary

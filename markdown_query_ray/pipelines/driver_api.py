@@ -86,7 +86,7 @@ def bm25_topk(sf_dir: str, terms: list[str], k: int = 10) -> pa.Table:
     """(rank, doc_id, score) for a weighted-OR query, classic BM25 profile."""
     idx = documents_index(sf_dir)
     node = _or_node(terms)
-    qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
+    qcfg = QueryConfig(k=k, params=BM25Params.classic())
     out = qx.search(idx, node, qcfg)
     out = out.select(["rank", "doc_id", "score"])
     out = out.set_column(1, "doc_id",
@@ -116,7 +116,7 @@ def search_snippets(sf_dir: str, terms: list[str] | None = None,
     terms = terms or ["merge", "sort"]
     idx = documents_index(sf_dir)
     node = _or_node(terms)
-    qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
+    qcfg = QueryConfig(k=k, params=BM25Params.classic())
     res = qx.search(idx, node, qcfg).select(["rank", "doc_id", "score"])
     ids = res.column("doc_id").to_numpy().astype(np.int64)  # k values
 
@@ -1741,7 +1741,7 @@ def composite_pipeline(sf_dir: str, min_tokens: int = 30,
         build_index(out, dataset=survivors, cfg=cfg)
         checkpoint.mark_done(out, "_INDEX_DONE")
     node = _or_node(terms)
-    qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
+    qcfg = QueryConfig(k=k, params=BM25Params.classic())
     res = qx.search(out, node, qcfg).select(["rank", "doc_id", "score"])
     res = res.set_column(1, "doc_id", res.column("doc_id").cast(pa.int64()))
     return _round_col(res, "score")
@@ -1837,7 +1837,7 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
         update_index(out, dataset=ray.data.read_parquet(surv_ck), cfg=cfg)
         checkpoint.mark_done(out, "_REFRESH_DONE")
     node = _or_node(terms)
-    qcfg = QueryConfig(k=k, params=BM25Params.classic(), use_wand=True)
+    qcfg = QueryConfig(k=k, params=BM25Params.classic())
     res = qx.search(out, node, qcfg).select(["rank", "doc_id", "score"])
     res = res.set_column(1, "doc_id", res.column("doc_id").cast(pa.int64()))
     return _round_col(res, "score")

@@ -1,21 +1,15 @@
 """Query execution: posting decode -> boolean algebra -> BM25 top-k.
 
-Two scoring engines, both correctness-tested against each other and the
-sequential oracle:
+One scoring engine: :class:`Evaluator` evaluates the whole query tree over
+the decoded postings of one doc-bucket with vectorized numpy passes, and
+:func:`topk_from_scored` cuts the scored set to the top k. Every doc a query
+matches is scored; nothing is pruned. Block-max bounds cannot prune the
+serving shapes: ``clean`` gives every word a ``SYNONYM(word*)`` and a ``Z``
+stem entry, whose global maxima exceed any top-k threshold, and computing
+the bounds costs more than the scoring they would skip. A pruning top-k
+comes back only as a replacement that beats this path.
 
-- **exhaustive**: fully vectorized numpy evaluation of the query tree over
-  the decoded postings of one doc-bucket. At test scale this is usually
-  faster than any pruning (every op is a C kernel); it is also the semantics
-  oracle.
-- **block-max top-k** (:func:`block_topk_tree`, OR trees of Term/SYNONYM
-  leaves): a threshold seeded from the highest-bound blocks prunes every
-  block whose (max_wdf, min_doclen) upper bound cannot reach it, and the
-  surviving docs are rescored exactly — the vectorized counterpart of the
-  reference's maxweight matcher loop (matcher/multimatch.cc:560-720).
-  When pruning would keep most postings it declines and the exhaustive
-  engine runs instead.
-
-``query.session.SearchSession`` is the one driver over both engines:
+``query.session.SearchSession`` is the one driver over the engine:
 :func:`search`, :func:`search_bucket` and :func:`count_matches` call into it.
 
 Distribution model: doc-buckets partition the doc-id space, so per-bucket
@@ -81,16 +75,14 @@ class Postings:
     decodes only its AND intersection's payloads — previously every
     loaded term paid a full decode (0.73 s warm per 10M-position term)."""
 
-    __slots__ = ("ids", "tfs", "dls", "block_of", "blocks",
-                 "pos_off", "pos_vals",
+    __slots__ = ("ids", "tfs", "dls", "blocks", "pos_off", "pos_vals",
                  "pos_sel", "pos_bytes", "pos_starts", "pos_ends", "npos")
 
-    def __init__(self, ids, tfs, dls, block_of=None, blocks=None,
+    def __init__(self, ids, tfs, dls, blocks=None,
                  pos_off=None, pos_vals=None, pos_sel=None):
         self.ids = ids
         self.tfs = tfs
         self.dls = dls
-        self.block_of = block_of
         self.blocks = blocks
         self.pos_off = pos_off
         self.pos_vals = pos_vals
@@ -370,7 +362,7 @@ class Evaluator:
         if not missing:
             return
         blocks = self.reader.load_blocks(missing, self.bucket)
-        ids, tfs, dls, block_of = decode_blocks(blocks)
+        ids, tfs, dls, _ = decode_blocks(blocks)
         bterms = np.asarray(blocks.column("term").to_pylist(), dtype=object)
         nb = len(bterms)
         # positions are NOT decoded here: each Postings keeps its block
@@ -402,10 +394,9 @@ class Evaluator:
                 continue
             bs, be, rs, re_ = rng
             tblocks = blocks.slice(bs, be - bs)
-            bof = block_of[rs:re_] - bs
             if alive is None or alive[rs:re_].all():
                 self._postings_cache[t] = Postings(
-                    ids[rs:re_], tfs[rs:re_], dls[rs:re_], bof, tblocks)
+                    ids[rs:re_], tfs[rs:re_], dls[rs:re_], tblocks)
                 continue
             sel = alive[rs:re_]
             if not sel.any():
@@ -419,7 +410,7 @@ class Evaluator:
                 pos_kw = {"pos_sel": np.nonzero(sel)[0]}
             self._postings_cache[t] = Postings(
                 ids[rs:re_][sel], tfs[rs:re_][sel], dls[rs:re_][sel],
-                bof[sel], tblocks, **pos_kw)
+                tblocks, **pos_kw)
 
     def postings(self, term: str) -> Postings:
         self._load_terms([term])
@@ -632,19 +623,12 @@ class Evaluator:
         freqs = [stats[t]["termfreq"] for t in terms if t in stats]
         return terms, synonym_termfreq_estimate(freqs, self.reader.n_docs)
 
-    def _synonym_parts(self, node: Synonym):
-        """(expansion terms with their postings loaded, synonym TermWeight)
-        — shared by the exhaustive evaluation, the subset rescorer and the
-        block-max serving path."""
-        terms, est_tf = self._synonym_terms(node)
-        self._load_terms(terms)
-        return terms, self.weight("", wqf=1, termfreq=est_tf)
-
     def _eval_synonym(self, node: Synonym) -> ScoredSet:
         """OP_SYNONYM: subtree as one pseudo-term — wdf = sum of child wdf
         clamped to doclen (matcher/synonympostlist.cc:66-98), termfreq from
         the pairwise independence estimate (orpostlist.cc:290-301)."""
-        terms, w = self._synonym_parts(node)
+        terms, est_tf = self._synonym_terms(node)
+        self._load_terms(terms)
         plist = [self._postings_cache[t] for t in terms]
         plist = [p for p in plist if len(p.ids)]
         if not plist:
@@ -658,51 +642,13 @@ class Evaluator:
         dls = np.zeros(len(uniq), np.uint64)
         np.maximum.at(dls, inv, all_dls)  # doclen identical across terms
         wdf = np.minimum(wdf, dls)  # clamp to doclen
+        w = self.weight("", wqf=1, termfreq=est_tf)
         return ScoredSet(uniq, w.sumpart(wdf, dls))
 
     def evaluate_subset(self, node, docs: np.ndarray) -> np.ndarray:
-        """Exact scores of the (sorted, unique) ``docs`` under an
-        Or/Term/Synonym tree — the rescorer of the block-max serving path.
-        Summation structure mirrors evaluate() exactly (per-child arrays
-        added in child order; integer wdf accumulation inside SYNONYM), so
-        the scores are bit-identical to the exhaustive path's."""
-        if isinstance(node, Term):
-            p = self.postings(node.text)
-            w = self.weight(node.text, node.wqf)
-            s = np.zeros(len(docs), np.float64)
-            if len(p.ids):
-                pos = np.minimum(np.searchsorted(p.ids, docs),
-                                 len(p.ids) - 1)
-                hit = p.ids[pos] == docs
-                if hit.any():
-                    s[hit] = w.sumpart(p.tfs[pos[hit]], p.dls[pos[hit]])
-            return s
-        if isinstance(node, Synonym):
-            terms, w = self._synonym_parts(node)
-            s = np.zeros(len(docs), np.float64)
-            wdf = np.zeros(len(docs), np.uint64)
-            dls = np.zeros(len(docs), np.uint64)
-            for t in terms:
-                p = self._postings_cache[t]
-                if not len(p.ids):
-                    continue
-                pos = np.minimum(np.searchsorted(p.ids, docs),
-                                 len(p.ids) - 1)
-                hit = p.ids[pos] == docs
-                if hit.any():
-                    wdf[hit] += p.tfs[pos[hit]]
-                    dls[hit] = np.maximum(dls[hit], p.dls[pos[hit]])
-            m = wdf > 0
-            if m.any():
-                wm = np.minimum(wdf[m], dls[m])  # clamp to doclen
-                s[m] = w.sumpart(wm, dls[m])
-            return s
-        if isinstance(node, Or):
-            s = np.zeros(len(docs), np.float64)
-            for c in node.children:
-                s += self.evaluate_subset(c, docs)
-            return s
-        raise TypeError(f"evaluate_subset: unsupported node {node!r}")
+        """Kept for perfbench/tracing.py; removed by the benchmark-only
+        PR."""
+        raise NotImplementedError("evaluate_subset has no caller")
 
     # -- ELITE_SET selection -------------------------------------------------
     def _elite_select(self, node: EliteSet) -> list:
@@ -757,8 +703,7 @@ class Evaluator:
             # cf if tf==1 else min(max(cf-first_wdf, first_wdf), global max
             # wdf) (glass_postlist.cc:176-191, glass_database.cc:797-803).
             # Reproduce it — the value changes which sub-postlists ELITE
-            # keeps. (Block-max pruning keeps the exact/tighter stored bound:
-            # any valid upper bound preserves rank-identity there.)
+            # keeps.
             tf, cf = st["termfreq"], st["collfreq"]
             if cf == 0 or tf == 1:
                 wub = cf
@@ -813,147 +758,10 @@ def merge_topk(parts: list[list[tuple[float, int]]], k: int
     return allhits[:k]
 
 
-# ---------------------------------------------------------------------------
-# block-max top-k (OR trees of Term / SYNONYM leaves)
-# ---------------------------------------------------------------------------
-
-def or_tree_units(node) -> list | None:
-    """If the tree is ORs (arbitrarily nested) over Term / SYNONYM leaves —
-    the natural-language serving shapes, FLAG_PARTIAL expansions included —
-    return the leaves in evaluation order; else None. Used to gate the
-    block-max top-k: pruning bounds come from the flattened leaves while
-    exact rescoring walks the original tree (evaluate_subset), so results
-    stay bit-identical to the exhaustive path."""
-    out: list = []
-
-    def walk(n) -> bool:
-        if isinstance(n, Term):
-            out.append(n)
-            return True
-        if isinstance(n, Synonym):
-            if not all(isinstance(c, (Term, Wildcard)) for c in n.children):
-                return False
-            out.append(n)
-            return True
-        if isinstance(n, Or):
-            return all(walk(c) for c in n.children)
-        return False
-
-    return out if walk(node) else None
-
-
-def _bound_entries(term_entries: list[tuple[TermWeight, "Postings"]]
-                   ) -> list[dict]:
-    """Per-entry block upper bounds for the pruning passes."""
-    out = []
-    for qorder, (w, p) in enumerate(term_entries):
-        if len(p.ids) == 0:
-            continue
-        if p.blocks is not None and len(p.blocks):
-            bub = np.asarray(w.maxpart_block(
-                p.blocks.column("max_wdf").to_numpy(),
-                p.blocks.column("min_doclen").to_numpy()), np.float64)
-            block_of = p.block_of
-            bn = p.blocks.column("n").to_numpy().astype(np.int64)
-        else:
-            bub = np.array([float(w.sumpart(int(p.tfs.max()),
-                                            max(1, int(p.dls.min()))))])
-            block_of = np.zeros(len(p.ids), np.int64)
-            bn = np.array([len(p.ids)], np.int64)
-        out.append({"qorder": qorder, "w": w, "p": p, "bub": bub,
-                    "block_of": block_of, "bn": bn,
-                    "ubg": float(bub.max())})
-    return out
-
-
-def block_topk_tree(ev: "Evaluator", node, k: int
-                    ) -> list[tuple[float, int]] | None:
-    """Block-max top-k over an OR tree of Term/SYNONYM leaves (the NL /
-    FLAG_PARTIAL serving shapes), or None when the tree doesn't qualify.
-
-    Pruning entries are the flattened leaves; a SYNONYM leaf contributes
-    one entry per expansion term, bounded with the SYNONYM's own weight —
-    valid because BM25's sumpart is concave in wdf at fixed doclen and
-    decreasing in doclen, so
-    sumpart(min(sum tf_e, dl)) <= sum_e sumpart(max_wdf_e, min_dl_e).
-    Survivors are rescored exactly by walking the ORIGINAL tree
-    (Evaluator.evaluate_subset), so scores are bit-identical to the
-    exhaustive path; the bounds only decide what can be skipped."""
-    units = or_tree_units(node)
-    if units is None:
-        return None
-    entries: list[tuple[TermWeight, "Postings"]] = []
-    for u in units:
-        if isinstance(u, Term):
-            entries.append((ev.weight(u.text, u.wqf), ev.postings(u.text)))
-        else:  # Synonym
-            terms, w = ev._synonym_parts(u)
-            for t in terms:
-                entries.append((w, ev.postings(t)))
-    if len(entries) <= 1:
-        return None
-    bounds = _bound_entries(entries)
-    if not bounds:
-        return []
-    return _block_topk_core(bounds,
-                            lambda docs: ev.evaluate_subset(node, docs), k)
-    # (a None return surfaces to the caller -> exhaustive evaluate(),
-    # whose vectorized synonym accumulation beats per-candidate gathers
-    # when pruning keeps most postings)
-
-
-def _block_topk_core(terms: list[dict], exact_scores, k: int
-                     ) -> list[tuple[float, int]] | None:
-    """Returns None when block pruning keeps most postings anyway
-    (dense/stopword-grade queries): the candidate-gather rescore then
-    costs more than a straight vectorized exhaustive pass, so callers
-    should fall back."""
-    sum_ubg = sum(t["ubg"] for t in terms)
-
-    # ---- pass 0: prunability regime ----------------------------------------
-    # Entry e's block b prunes only when bub_e(b) < theta - (sum_ubg -
-    # ubg_e). With many entries the sum-of-other-bounds term swamps any
-    # achievable theta (a top-k score), so wide synonym expansions
-    # (short-prefix partials) can never prune — skip the seeding pass
-    # instead of paying it and bailing after pass B.
-    if len(terms) > 16:
-        return None
-
-    # ---- pass A ------------------------------------------------------------
-    seeds = []
-    for t in terms:
-        order = np.argsort(-t["bub"], kind="stable")
-        covered = np.cumsum(t["bn"][order])
-        nb = int(np.searchsorted(covered, k) + 1)
-        bmask = np.zeros(len(t["bub"]), bool)
-        bmask[order[:nb]] = True
-        seeds.append(t["p"].ids[bmask[t["block_of"]]])
-    d0 = np.unique(np.concatenate(seeds))
-    if len(d0) >= k:
-        s0 = exact_scores(d0)
-        theta = float(np.partition(s0, len(s0) - k)[len(s0) - k])
-    else:
-        theta = -np.inf
-
-    # ---- pass B ------------------------------------------------------------
-    cands = []
-    for t in terms:
-        keep = t["bub"] + (sum_ubg - t["ubg"]) >= theta
-        if keep.all():
-            cands.append(t["p"].ids)
-        elif keep.any():
-            cands.append(t["p"].ids[keep[t["block_of"]]])
-    if not cands:
-        return []
-    total = sum(len(t["p"].ids) for t in terms)
-    kept = sum(len(c) for c in cands)
-    if kept > 0.25 * total:
-        return None  # pruning failed; exhaustive is cheaper
-    docs = np.unique(np.concatenate(cands))
-
-    # ---- pass C ------------------------------------------------------------
-    scores = exact_scores(docs)
-    return topk_from_scored(ScoredSet(docs, scores), k)
+def block_topk_tree(ev: "Evaluator", node, k: int) -> None:
+    """Always None: the exhaustive evaluation is the only top-k path.
+    Kept for perfbench/tracing.py; removed by the benchmark-only PR."""
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TermWeight:
         w = math.log(tw)
         if not params.idf_floor and w < 0.0:
             w = 0.0  # classic profile: clamp negative idf (standard practice,
-            #          keeps WAND bounds nonnegative; mirrored in oracle SQL)
+            #          keeps maxpart bounds nonnegative; mirrored in oracle SQL)
         if params.wqf_factor and params.k3 != 0:
             w *= (params.k3 + 1.0) * wqf / (params.k3 + wqf)
         if params.k1_plus_1_factor:
@@ -64,25 +64,13 @@ class TermWeight:
         denom = p.k1 * (normlen * p.b + (1.0 - p.b)) + wdf
         return self.termweight * (wdf / denom)
 
-    def maxpart_block(self, max_wdf, min_doclen):
-        """Per-block score upper bound: evaluate at (block max wdf, block min
-        doclen) — monotone in both, so a valid bound; a strict per-block
-        refinement of BM25Weight::get_maxpart (bm25weight.cc:176-201), which
-        only had global wdf_ub and doclen_lb to work with."""
-        p = self.params
-        max_wdf = np.asarray(max_wdf, dtype=np.float64)
-        # get_maxpart evaluates at doclen >= wdf (a doc's length is at least
-        # the wdf of any of its terms)
-        dl = np.maximum(np.asarray(min_doclen, dtype=np.float64), max_wdf)
-        normlen = np.maximum(dl * self.len_factor, p.min_normlen)
-        denom = p.k1 * (normlen * p.b + (1.0 - p.b)) + max_wdf
-        with np.errstate(invalid="ignore"):
-            out = self.termweight * np.where(denom > 0, max_wdf / denom, 0.0)
-        return out
-
     def maxpart_global(self, wdf_ub: int, doclen_lb: int) -> float:
-        return float(self.maxpart_block(np.array([wdf_ub]),
-                                        np.array([doclen_lb]))[0])
+        """BM25Weight::get_maxpart (bm25weight.cc:176-201): the per-doc part
+        at the wdf upper bound and at doclen >= wdf_ub (a doc's length is at
+        least the wdf of any of its terms); 0 when the bound is 0."""
+        if wdf_ub == 0:
+            return 0.0
+        return float(self.sumpart(wdf_ub, max(doclen_lb, wdf_ub)))
 
 
 def synonym_termfreq_estimate(freqs: list[int], n_docs: int) -> int:

@@ -42,7 +42,9 @@ from ..config import QueryConfig
 from ..index.reader import IndexReader, select_wildcard
 from .ast import query_leaves
 from .compiler import parse_user_query
-from .executor import (
+# block_topk_tree is imported but never called: kept for
+# perfbench/tracing.py; removed by the benchmark-only PR.
+from .executor import (  # noqa: F401
     Evaluator,
     block_topk_tree,
     topk_from_scored,
@@ -146,8 +148,7 @@ class SearchSession:
     def topk(self, node, k: int | None = None,
              bucket: int | None = None) -> list[tuple[float, int]]:
         """[(score, doc_id)] top-k of one doc-bucket (None = the whole
-        index) in MSet order: block-max top-k when enabled and the tree
-        qualifies, else the exhaustive evaluation."""
+        index) in MSet order, from the exhaustive evaluation."""
         if k is None:
             k = self.qcfg.k
         elif k < 1:
@@ -157,10 +158,6 @@ class SearchSession:
                               for w in wildcards])
         ev = self._evaluator(bucket)
         ev.prefetch(node)  # one batched partition read for the whole tree
-        if self.qcfg.use_wand:
-            hits = block_topk_tree(ev, node, k)
-            if hits is not None:
-                return hits
         return topk_from_scored(ev.evaluate(node), k)
 
     def hits_table(self, hits: list[tuple[float, int]],

@@ -269,7 +269,7 @@ def test_freetext_cjk_matches_raw_queryparser(cjk_setup):
             errs.add(qn)
         else:
             want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=50, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=50, params=BM25Params.xapian())
     for i, q in enumerate(FREETEXT_CJK):
         if i in errs:
             # e.g. "AND中": dangling boolean operator — both sides throw
@@ -361,7 +361,7 @@ def test_freetext_cjk_fuzz_vs_raw_queryparser(cjk_setup):
             errs.add(qn)
         else:
             want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=50, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=50, params=BM25Params.xapian())
     for i, q in enumerate(queries):
         if i in errs:
             with pytest.raises(FreetextParseError):
@@ -412,7 +412,7 @@ def test_cjk_query_rank_identity(cjk_setup):
             continue
         assert p[1] != "ERROR", (CJK_QUERIES[qn], p)
         want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=50, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=50, params=BM25Params.xapian())
     for i, q in enumerate(CJK_QUERIES):
         node = _cjk_query_ast(q)
         got = qx.search(ours, node, qcfg, distributed=False)

@@ -8,6 +8,9 @@ from markdown_query_ray.pipelines.textstats import (
     distinct_token_counts,
 )
 
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TEXTS = [
     ("en", "the cat sat on the mat"),
     ("en", "the dog sat"),

@@ -81,16 +81,6 @@ def test_query_matches_oracle(entry_mod, duck, name):
                                   check_exact=False, rtol=1e-9, atol=1e-9)
 
 
-ROWS_ONLY: list[str] = []  # every entry is oracle-checked as of round 2
-
-
-@pytest.mark.parametrize("name", ROWS_ONLY)
-def test_rows_only_queries_run(entry_mod, name):
-    out = _to_df(entry_mod.queries()[name](SF_DIR))
-    assert len(out) >= 0
-    assert len(out.columns) > 0
-
-
 def test_every_query_key_has_callable(entry_mod):
     q = entry_mod.queries()
     o = entry_mod.oracle_sql()
@@ -103,7 +93,6 @@ def test_every_query_key_has_callable(entry_mod):
     assert not set(qx) & set(q)
     assert set(ox) == set(qx)
     assert set(SQL_CHECKED) == set(q) | set(qx)
-    assert set(ROWS_ONLY) == set()
 
 
 def test_entry_smoke(entry_mod):

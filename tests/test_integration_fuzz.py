@@ -12,7 +12,6 @@ failure reproduces exactly.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 
@@ -108,14 +107,12 @@ def _check_queries(rng: random.Random, idx: str, oracle: DictOracle,
         expect = oracle.topk(oracle.score_or(terms, params), 10)
         # in-process, then the default path (one Ray task per bucket when
         # the index has several)
-        for use_wand, distributed in itertools.product((False, True),
-                                                       (False, None)):
-            qc = QueryConfig(k=10, params=params, use_wand=use_wand)
+        qc = QueryConfig(k=10, params=params)
+        for distributed in (False, None):
             got = qx.search(idx, node, qc, distributed=distributed)
             gids = got.column("doc_id").to_pylist()
             gscores = got.column("score").to_pylist()
-            ctx = (f"{label} wand={use_wand} distributed={distributed} "
-                   f"terms={terms}")
+            ctx = f"{label} distributed={distributed} terms={terms}"
             assert gids == [d for _, d in expect], ctx
             assert gscores == pytest.approx(
                 [s for s, _ in expect], rel=1e-9), ctx

@@ -9,6 +9,9 @@ import pytest
 
 from markdown_query_ray.pipelines.quantiles import group_quantiles
 
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _run(groups, values, qs):
     import ray.data

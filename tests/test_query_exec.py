@@ -1,5 +1,4 @@
-"""Rank-identity tests: engine top-k (exhaustive AND WAND) vs the sequential
-oracle, xapian + classic BM25 profiles, boolean algebra, synonym estimation.
+"""Rank-identity tests: engine top-k vs the sequential oracle, xapian + classic BM25 profiles, boolean algebra, synonym estimation.
 """
 
 import numpy as np
@@ -22,10 +21,12 @@ from markdown_query_ray.query.ast import (
 from markdown_query_ray.query.executor import (
     Evaluator,
     search,
-    search_bucket,
     topk_from_scored,
 )
-from markdown_query_ray.query.scorer import synonym_termfreq_estimate
+from markdown_query_ray.query.scorer import (
+    TermWeight,
+    synonym_termfreq_estimate,
+)
 
 from .oracle import OracleIndex
 
@@ -61,31 +62,13 @@ def test_or_rank_identity(built_index, oracle, params):
         expect = oracle.topk(oracle.score_or(terms, params), 100)
         node = Or(tuple(Term(t) for t in terms)) if len(terms) > 1 \
             else Term(terms[0])
-        qcfg = QueryConfig(k=100, params=params, use_wand=False)
+        qcfg = QueryConfig(k=100, params=params)
         got = search(index_dir, node, qcfg)
         got_pairs = list(zip(got.column("score").to_pylist(),
                              got.column("doc_id").to_pylist()))
         assert [d for _, d in got_pairs] == [d for _, d in expect], terms
         np.testing.assert_allclose([s for s, _ in got_pairs],
                                    [s for s, _ in expect], rtol=1e-12)
-
-
-@pytest.mark.parametrize("params", PROFILES, ids=["xapian", "classic"])
-def test_wand_matches_exhaustive(built_index, oracle, params):
-    index_dir, _, _ = built_index
-    cases = [["Zthe", "xqzraretri"], _fixture_terms(oracle, 5),
-             ["Zthe", "Zand", "Zfor"]]
-    for terms in cases:
-        node = Or(tuple(Term(t) for t in terms))
-        hits_ex = search_bucket(index_dir, node,
-                                QueryConfig(k=50, params=params,
-                                            use_wand=False), None)
-        hits_wand = search_bucket(index_dir, node,
-                                  QueryConfig(k=50, params=params,
-                                              use_wand=True), None)
-        assert [d for _, d in hits_wand] == [d for _, d in hits_ex], terms
-        np.testing.assert_allclose([s for s, _ in hits_wand],
-                                   [s for s, _ in hits_ex], rtol=1e-12)
 
 
 def test_distributed_equals_local(built_index):
@@ -151,6 +134,25 @@ def test_and_maybe_boosts(built_index):
     ll = dict(zip(left.ids.tolist(), left.scores.tolist()))
     for d, s in zip(am.ids.tolist(), am.scores.tolist()):
         assert s == pytest.approx(ll[d] + rl.get(d, 0.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", PROFILES, ids=["xapian", "classic"])
+def test_maxpart_global_is_sumpart_at_bounds(params):
+    """ELITE_SET's per-term bound is get_maxpart: the per-doc part at
+    (wdf_ub, max(doclen_lb, wdf_ub)) — a doc is at least as long as any
+    term's wdf in it — and exactly 0 for a term that never occurs."""
+    grid = (0, 1, 2, 3, 7, 40, 128, 1000, 65536)
+    for termfreq in (1, 37, 900):
+        w = TermWeight(params, 1000, 87.25, termfreq, wqf=2)
+        for u in grid:
+            for lb in grid:
+                got = w.maxpart_global(u, lb)
+                assert type(got) is float
+                if u == 0:
+                    assert got == 0.0, (termfreq, u, lb)
+                else:
+                    assert got == float(w.sumpart(u, max(lb, u))), \
+                        (termfreq, u, lb)
 
 
 def test_synonym_estimate_formula():

@@ -112,13 +112,12 @@ def test_actor_pool_serving(ray_session, built_index):
         ray.kill(a)
 
 
-@pytest.mark.parametrize("use_wand", [True, False], ids=["wand", "exhaustive"])
 @pytest.mark.parametrize("k", [0, -1])
-def test_k_below_one_rejected(built_index, k, use_wand):
+def test_k_below_one_rejected(built_index, k):
     idx, _, _ = built_index
     with pytest.raises(ValueError):
-        QueryConfig(k=k, use_wand=use_wand)
-    sess = SearchSession(idx, QueryConfig(use_wand=use_wand))
+        QueryConfig(k=k)
+    sess = SearchSession(idx, QueryConfig())
     with pytest.raises(ValueError):
         sess.search("merge OR sort", k=k)
 

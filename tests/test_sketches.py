@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from markdown_query_ray.pipelines.sketches import (
@@ -16,6 +17,9 @@ from markdown_query_ray.pipelines.sketches import (
     hll_partial_batch,
     hll_registers,
 )
+
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _ds(keys, parts=4):

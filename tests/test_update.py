@@ -487,23 +487,6 @@ def test_compact_rejects_overlapping_out_dir(base_index, tmp_path):
     assert not os.path.exists(os.path.join(idx, "sub"))
 
 
-def test_wand_on_updated_index(base_index, tmp_path):
-    """Block-max WAND bounds stay valid when blocks contain tombstoned
-    postings (bounds only overestimate)."""
-    import ray.data
-
-    idx, _ = base_index
-    p = str(tmp_path / "upd.parquet")
-    _pages([("u3", "alpha delta replaced")], p, base_id=20)
-    update_index(idx, dataset=ray.data.read_parquet(p))
-    node = Or((Term("alpha"), Term("gamma")))
-    wand = qx.search(idx, node, QueryConfig(k=10, use_wand=True),
-                     distributed=False)
-    exact = qx.search(idx, node, QueryConfig(k=10, use_wand=False),
-                      distributed=False)
-    assert wand.equals(exact)
-
-
 def test_update_with_idless_url_dataset(base_index, tmp_path):
     """The documented input shape "a Dataset with url + text" (no doc_id):
     ids are derived deterministically by url rank, continuing the index's

@@ -454,7 +454,7 @@ def test_freetext_matches_raw_queryparser(parity_setup):
         want[qn].append((int(parts[2]) - 1, float(parts[3])))
     from markdown_query_ray.index.reader import IndexReader
     tex = IndexReader(ours).term_exists
-    qcfg = QueryConfig(k=100, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=100, params=BM25Params.xapian())
     for i, q in enumerate(FREETEXT_QUERIES):
         node = compile_freetext(q, term_exists=tex)
         got = qx.search(ours, node, qcfg, distributed=False)
@@ -523,7 +523,7 @@ def test_freetext_fuzz_vs_raw_queryparser(parity_setup):
             errs.add(qn)
         else:
             want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=60, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=60, params=BM25Params.xapian())
     for i, q in enumerate(queries):
         if i in errs:
             with pytest.raises(FreetextParseError):
@@ -580,7 +580,7 @@ def test_mdq_exact_pipeline_vs_real(parity_setup):
             errs.add(qn)
         else:
             want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=100, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=100, params=BM25Params.xapian())
     for i, q in enumerate(MDQ_EXACT_QUERIES):
         assert i not in errs, (q, "xapian errored")
         node = parse_user_query_mdq_exact(q)
@@ -649,7 +649,7 @@ def test_mdq_exact_fuzz_vs_real(parity_setup):
             errs.add(qn)
         else:
             want[qn].append((int(p[2]) - 1, float(p[3])))
-    qcfg = QueryConfig(k=80, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=80, params=BM25Params.xapian())
     for i, q in enumerate(queries):
         if i in errs:
             with pytest.raises((FreetextParseError, QueryError)):

@@ -3,7 +3,7 @@
 Scales far beyond the in-repo parity tests: 2,000-doc corpus with
 stress-small posting blocks, thousands of random queries through all three
 grammar paths (per-token splitter, raw QueryParser freetext, mdq-exact
-orchestration), WAND on AND off, plus a 4,000-line full-Unicode termdump
+orchestration), plus a 4,000-line full-Unicode termdump
 fuzz over random BMP/astral codepoints. End of round 1 this passes with
 ZERO mismatches: docids and scores bit-exact (rtol 1e-9), error-for-error
 parity on malformed queries.
@@ -133,7 +133,7 @@ def check(tag, q, got_tbl, exp, desc=None):
 
 
 def campaign_splitter(xdb, ours, toks):
-    """Per-token boolean splitter path, 600 queries, WAND on and off."""
+    """Per-token boolean splitter path, 600 queries."""
     from markdown_query_ray.config import BM25Params, QueryConfig
     from markdown_query_ray.query import executor as qx
     from markdown_query_ray.query.compiler import parse_user_query
@@ -161,15 +161,13 @@ def campaign_splitter(xdb, ours, toks):
         queries.append(q)
 
     want, errs, descs = oracle_query(xdb, "query", queries, 100)
-    for wand in (False, True):
-        qcfg = QueryConfig(k=100, params=BM25Params.xapian(), use_wand=wand)
-        for i, q in enumerate(queries):
-            if i in errs:
-                continue
-            got = qx.search(ours, parse_user_query(q), qcfg,
-                            distributed=False)
-            check(f"splitter wand={wand}", q, got, want[i], descs.get(i))
-    print(f"splitter: {len(queries)} queries x2 wand modes, "
+    qcfg = QueryConfig(k=100, params=BM25Params.xapian())
+    for i, q in enumerate(queries):
+        if i in errs:
+            continue
+        got = qx.search(ours, parse_user_query(q), qcfg, distributed=False)
+        check("splitter", q, got, want[i], descs.get(i))
+    print(f"splitter: {len(queries)} queries, "
           f"{len(errs)} oracle errors skipped, failures so far "
           f"{len(failures)}")
 
@@ -255,28 +253,25 @@ def campaign_freetext(xdb, ours, toks):
         queries.append(q)
 
     want, errs, descs = oracle_query(xdb, "query-raw", queries, 60)
-    for wand in (False, True):
-        qcfg = QueryConfig(k=60, params=BM25Params.xapian(), use_wand=wand)
-        for i, q in enumerate(queries):
-            if i in errs:
-                if wand:
-                    continue
-                try:
-                    compile_freetext(q, term_exists=_tex(ours))
-                    failures.append(
-                        f"[freetext] xapian ERROR but we parsed: {q!r}")
-                except FreetextParseError:
-                    pass
-                continue
+    qcfg = QueryConfig(k=60, params=BM25Params.xapian())
+    for i, q in enumerate(queries):
+        if i in errs:
             try:
-                node = compile_freetext(q, term_exists=_tex(ours))
-            except FreetextParseError as e:
-                failures.append(f"[freetext] we error, xapian ok: {q!r} "
-                                f"({e}) desc={descs.get(i)}")
-                continue
-            got = qx.search(ours, node, qcfg, distributed=False)
-            check(f"freetext wand={wand}", q, got, want[i], descs.get(i))
-    print(f"freetext: {len(queries)} queries x2 wand modes, "
+                compile_freetext(q, term_exists=_tex(ours))
+                failures.append(
+                    f"[freetext] xapian ERROR but we parsed: {q!r}")
+            except FreetextParseError:
+                pass
+            continue
+        try:
+            node = compile_freetext(q, term_exists=_tex(ours))
+        except FreetextParseError as e:
+            failures.append(f"[freetext] we error, xapian ok: {q!r} "
+                            f"({e}) desc={descs.get(i)}")
+            continue
+        got = qx.search(ours, node, qcfg, distributed=False)
+        check("freetext", q, got, want[i], descs.get(i))
+    print(f"freetext: {len(queries)} queries, "
           f"{len(errs)} oracle-error (symmetry-checked), failures so far "
           f"{len(failures)}")
 
@@ -335,7 +330,7 @@ def campaign_mdq_exact(xdb, ours, toks):
                 "FILTERED " + tok(), tok() + " MAYBEAND " + tok()]
 
     want, errs, descs = oracle_query(xdb, "query-mdq", queries, 80)
-    qcfg = QueryConfig(k=80, params=BM25Params.xapian(), use_wand=False)
+    qcfg = QueryConfig(k=80, params=BM25Params.xapian())
     for i, q in enumerate(queries):
         if i in errs:
             try:

@@ -5,7 +5,7 @@ Synthesizes a >= 1M-doc corpus OFF-DRIVER (ray.data.range -> map_batches;
 the driver never holds a corpus-sized table), runs the same chain as
 ``driver_api.composite_pipeline`` — token-count quality gate ->
 ``exact_dedup_rows`` (hash-bucketed shuffle emitting surviving rows) ->
-``build_index`` -> WAND BM25 top-k — and reports wall time plus driver
+``build_index`` -> BM25 top-k — and reports wall time plus driver
 maxRSS. The point: with the round-2 survivor-id collect+broadcast removed,
 driver RSS stays flat (Bloom/bucket state only) while a corpus-sized keep
 set would have added ~8 MB per 1M docs and hundreds of GB at 10^12.
@@ -99,7 +99,7 @@ def main() -> None:
                          total_docs=args.docs)
     t_build = time.time() - t0
     node = Or((Term("w1"), Term("w2")))
-    qcfg = QueryConfig(k=10, params=BM25Params.classic(), use_wand=True)
+    qcfg = QueryConfig(k=10, params=BM25Params.classic())
     res = qx.search(args.out, node, qcfg)
     wall = time.time() - t0
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e6
