@@ -14,7 +14,8 @@ restructured for streaming execution over a multi-node cluster:
       -> groupby(skey)                                  [THE merge shuffle]
       -> encode+write postings/part-*.parquet           [per-partition commit]
       -> manifest rows (lineage + throughput metrics)
-    postings metadata cols -> term_stats/               [small groupby]
+    manifest rows -> _manifest.jsonl                    [finish_segment]
+    postings (term, n, sum_wdf, max_wdf) -> term_stats/ [small groupby]
 
 Shuffle key ``skey = fnv1a64(term) % P * S + doc_bucket``: P term-hash parts
 give posting-merge parallelism; S doc-range salt shards are the explicit skew
@@ -24,11 +25,15 @@ by its per-doc-range postings, and because posting blocks are keyed
 that need no second-pass merge (only term_stats needs a tiny final groupby).
 
 Each shuffle group writes its own parquet file atomically
-(``checkpoint.write_table``) and returns a manifest row; a re-run skips
+(``write_postings_part``) and returns a manifest row; a re-run skips
 groups whose output file exists — the per-partition checkpoint/resume story
 (the reference's analog is idempotent upsert-by-key,
-backends/database.cc:193-208). Every write and commit marker goes through
-``markdown_query_ray/checkpoint.py``.
+backends/database.cc:193-208). ``finish_segment`` then writes the manifest
+and folds the segment's own block metadata into ``term_stats/``, as the
+reference keeps a term's termfreq/collfreq in its own posting list
+(glass_postlist.cc:351-382). A segment merge (index/update.py) writes its
+parts and finishes its segment with the same two functions. Every write
+and commit marker goes through ``markdown_query_ray/checkpoint.py``.
 
 One set of stage callables, two executors. The plan above is the Ray
 leg. A ``paths`` build whose files hold at most ``DRIVER_BUILD_BYTES``
@@ -38,7 +43,7 @@ local loop — ``_ReadShard`` over the (path, base) control rows,
 (one ``tokenized/`` file, one row group per slice),
 ``PartialPostingsStage`` per ``postings_batch_size`` slice, one
 ``encode_write_group`` per ``skey``, then the driver-side url map, doc
-stats and term-stats merge. At update-batch size Ray Data's per-job
+stats and term-stats fold. At update-batch size Ray Data's per-job
 fixed costs exceed the work; both legs write the same postings and term
 stats byte for byte. Dataset inputs always take the Ray leg.
 """
@@ -60,6 +65,7 @@ from ..sources.pages import _ReadShard, file_row_counts, read_pages, \
 from ..stages.extract import extract_batch
 from ..stages.tokenize import TokenizeStage, staging_schema
 from .codec import (
+    blocks_schema,
     concat_segments,
     decode_partial_group,
     encode_partition,
@@ -319,13 +325,23 @@ def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table:
                      "doclen": out.column("doclen").cast(pa.uint32())})
 
 
+def _parquet_files(d: str) -> list[str]:
+    """The sorted ``*.parquet`` paths in ``d`` (none when it is absent)."""
+    if not os.path.isdir(d):
+        return []
+    return [os.path.join(d, f) for f in sorted(os.listdir(d))
+            if f.endswith(".parquet")]
+
+
+# the block columns a segment's term stats come from
+_BLOCK_STATS = ["term", "n", "sum_wdf", "max_wdf"]
+
+
 def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
-    """Exact per-term stats for one shuffle group, from its block metadata
-    (the group holds ALL postings of its (term-part, doc-bucket) slice):
+    """Exact per-term stats of posting blocks, from their metadata:
     termfreq = sum n, collfreq = sum wdf, wdf_ub = max wdf."""
-    agg = pa.TableGroupBy(
-        blocks.select(["term", "n", "sum_wdf", "max_wdf"]), "term"
-    ).aggregate([("n", "sum"), ("sum_wdf", "sum"), ("max_wdf", "max")])
+    agg = pa.TableGroupBy(blocks.select(_BLOCK_STATS), "term").aggregate(
+        [("n", "sum"), ("sum_wdf", "sum"), ("max_wdf", "max")])
     return pa.table({
         "term": agg.column("term"),
         "termfreq": agg.column("n_sum").cast(pa.int64()),
@@ -334,27 +350,18 @@ def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
     })
 
 
-def merge_term_stats(files: list[str], ts_dir: str,
-                     extra: pa.Table | None = None) -> int:
-    """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files, plus
-    the in-memory ``extra`` rows) into ``ts_dir``: per term, the sum of
-    termfreq and collfreq and the max of wdf_ub, sorted by term, in row
-    groups of ``TERM_STATS_ROW_GROUP``; a term whose termfreq sums to 0
-    (every dead doc holding it left the fold at a merge) is dropped.
-    Returns the max wdf_ub — the glass version-file wdf_ubound analog
-    (glass_version.h:260-262), input to the per-term xapian wdf bound.
-    Small folds run driver-side as one Arrow groupby; past
-    TERM_STATS_DRIVER_ROWS rows a Ray groupby, so a trillion-doc term
-    dictionary never has to fit on the driver."""
+def _fold_term_stats(src, ts_dir: str) -> int:
+    """Sum ``TERM_STATS_SCHEMA`` rows per term into ``ts_dir`` — termfreq
+    and collfreq summed, wdf_ub maxed — sorted by term, in row groups of
+    ``TERM_STATS_ROW_GROUP``; a term whose termfreq sums to 0 (every dead
+    doc holding it left the fold at a merge) is dropped. ``src`` is an
+    Arrow table, folded on the driver, or a Ray Dataset, folded by a Ray
+    groupby. Returns the max wdf_ub — the glass version-file wdf_ubound
+    analog (glass_version.h:260-262), input to the per-term xapian wdf
+    bound."""
     checkpoint.clear_dir(ts_dir)  # always recomputed; drop stale output
-    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    rows += 0 if extra is None else len(extra)
-    if rows <= TERM_STATS_DRIVER_ROWS:
-        tabs = [pq.ParquetDataset(files).read()] if files else []
-        tabs += [] if extra is None else [extra]
-        tbl = pa.concat_tables(t.cast(TERM_STATS_SCHEMA) for t in tabs) \
-            if tabs else TERM_STATS_SCHEMA.empty_table()
-        agg = pa.TableGroupBy(tbl, "term").aggregate(
+    if isinstance(src, pa.Table):
+        agg = pa.TableGroupBy(src, "term").aggregate(
             [("termfreq", "sum"), ("collfreq", "sum"), ("wdf_ub", "max")])
         merged = pa.table({
             "term": agg.column("term"),
@@ -369,64 +376,106 @@ def merge_term_stats(files: list[str], ts_dir: str,
             merged, os.path.join(ts_dir, "part-000000.parquet"),
             row_group_size=TERM_STATS_ROW_GROUP)
         return int(pc.max(merged.column("wdf_ub")).as_py() or 0)
-    import ray.data
     from ray.data.aggregate import Max, Sum
 
-    ds = ray.data.read_parquet(files) if files else None
-    if extra is not None:
-        ex = ray.data.from_arrow(extra.cast(TERM_STATS_SCHEMA))
-        ds = ex if ds is None else ds.union(ex)
     checkpoint.write_dataset(
-        ds.groupby("term").aggregate(
+        src.groupby("term").aggregate(
             Sum("termfreq", alias_name="termfreq"),
             Sum("collfreq", alias_name="collfreq"),
             Max("wdf_ub", alias_name="wdf_ub")).filter(
             expr="termfreq != 0"), ts_dir,
         row_group_size=TERM_STATS_ROW_GROUP)
-    mx = ds.aggregate(Max("wdf_ub", alias_name="m"))
-    return int(mx["m"] or 0)
+    return int(src.aggregate(Max("wdf_ub", alias_name="m"))["m"] or 0)
+
+
+def merge_term_stats(files: list[str], ts_dir: str,
+                     extra: pa.Table | None = None) -> int:
+    """Fold per-term stat rows (``TERM_STATS_SCHEMA`` parquet files, plus
+    the in-memory ``extra`` rows) into ``ts_dir`` (``_fold_term_stats``):
+    how a fold keeps its stats. Past TERM_STATS_DRIVER_ROWS rows the fold
+    is a Ray groupby, so a trillion-doc term dictionary never has to fit
+    on the driver. Returns the max wdf_ub."""
+    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    extra = [] if extra is None else [extra.cast(TERM_STATS_SCHEMA)]
+    if rows + sum(map(len, extra)) <= TERM_STATS_DRIVER_ROWS:
+        tabs = [pq.ParquetDataset(files).read().cast(TERM_STATS_SCHEMA)] \
+            if files else []
+        return _fold_term_stats(pa.concat_tables(
+            tabs + extra or [TERM_STATS_SCHEMA.empty_table()]), ts_dir)
+    import ray.data
+
+    ds = [ray.data.read_parquet(files)] if files else []
+    ds += [ray.data.from_arrow(t) for t in extra]
+    return _fold_term_stats(ds[0].union(*ds[1:]) if ds[1:] else ds[0],
+                            ts_dir)
+
+
+def finish_segment(out_dir: str, manifest: pa.Table) -> int:
+    """Finish a segment whose ``postings/`` parts are written: write
+    ``_manifest.jsonl`` from their ``manifest`` rows in skey order, then
+    ``term_stats/`` from the segment's own blocks — their (term, n,
+    sum_wdf, max_wdf) columns (``_stats_partial_from_blocks``) folded per
+    term — on the driver up to TERM_STATS_DRIVER_ROWS block rows (footer
+    counts), else as a Ray read and groupby. Every build, policy merge
+    and ``compact`` ends here. Returns the max wdf_ub."""
+    checkpoint.write_text(
+        "".join(json.dumps(row) + "\n"
+                for row in manifest.sort_by("skey").to_pylist()),
+        os.path.join(out_dir, "_manifest.jsonl"))
+    files = _parquet_files(os.path.join(out_dir, "postings"))
+    ts_dir = os.path.join(out_dir, "term_stats")
+    if sum(pq.ParquetFile(f).metadata.num_rows for f in files) \
+            <= TERM_STATS_DRIVER_ROWS:
+        blocks = pq.ParquetDataset(files).read(columns=_BLOCK_STATS) \
+            if files else blocks_schema().empty_table()  # an empty segment
+        return _fold_term_stats(_stats_partial_from_blocks(blocks), ts_dir)
+    import ray.data
+
+    return _fold_term_stats(ray.data.read_parquet(
+        files, columns=_BLOCK_STATS).map_batches(
+        _stats_partial_from_blocks, batch_format="pyarrow"), ts_dir)
+
+
+def write_postings_part(out_dir: str, key: int, cfg: IndexConfig,
+                        docs_per_bucket: int | None, terms, doc_ids, tfs,
+                        dls, *pos) -> pa.Table | None:
+    """Encode one (term-part, doc-bucket)'s postings, sorted by (term,
+    doc_id) and then (npos, pos_payloads) when positional, into blocks of
+    the index's block size, stripe-aligned when several doc buckets
+    interleave id stripes (codec.encode_partition); write them atomically
+    to ``postings/part-<key>.parquet`` and return the manifest row (None,
+    and no file, when there are no postings). Every build and merge
+    writes its parts here."""
+    t0 = time.perf_counter()
+    blocks = encode_partition(
+        terms, doc_ids, tfs, dls, block_size=cfg.block_size,
+        stripe_size=docs_per_bucket if cfg.num_doc_buckets > 1 else None,
+        **dict(zip(("npos", "pos_payloads"), pos)))
+    if not len(blocks):
+        return None
+    path = os.path.join(out_dir, "postings", f"part-{key:06d}.parquet")
+    checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
+    return _manifest_row(key, path, len(blocks), len(doc_ids),
+                         os.path.getsize(path), resumed=False,
+                         seconds=time.perf_counter() - t0)
 
 
 def encode_write_group(group: pa.Table, out_dir: str,
                        cfg: IndexConfig,
                        docs_per_bucket: int | None = None) -> pa.Table:
     """map_groups body for one shuffle group of PACKED partial posting rows:
-    decode+merge to (term, doc_id) order, encode varint blocks, write one
-    parquet file atomically (plus the group's exact per-term stats partial),
-    return a manifest row. Skips work (resume) when the output file already
-    exists."""
-    t0 = time.perf_counter()
+    decode+merge to (term, doc_id) order and write the part
+    (``write_postings_part``); returns its manifest row. Skips work
+    (resume) when the output file already exists."""
     skey = int(group.column("skey")[0].as_py())
     path = os.path.join(out_dir, "postings", f"part-{skey:06d}.parquet")
-    spath = os.path.join(out_dir, "term_stats_parts",
-                         f"part-{skey:06d}.parquet")
-    n_rows = int(pc.sum(group.column("n")).as_py() or 0)
     if os.path.exists(path):
-        if not os.path.exists(spath):  # resume across the partial write
-            blocks = pq.read_table(
-                path, columns=["term", "n", "sum_wdf", "max_wdf"])
-            checkpoint.write_table(_stats_partial_from_blocks(blocks),
-                                   spath)
-        meta = pq.ParquetFile(path).metadata
-        return _manifest_row(skey, path, meta.num_rows, n_rows, 0,
+        return _manifest_row(skey, path,
+                             pq.ParquetFile(path).metadata.num_rows,
+                             int(pc.sum(group.column("n")).as_py() or 0), 0,
                              resumed=True, seconds=0.0)
-    decoded = decode_partial_group(group)
-    terms, doc_ids, tfs, dls = decoded[:4]
-    pos_kw = {}
-    if len(decoded) > 4:
-        pos_kw = {"npos": decoded[4], "pos_payloads": decoded[5]}
-    # stripe-align blocks (see codec.encode_partition): only needed when
-    # multiple buckets interleave id stripes
-    stripe = docs_per_bucket if cfg.num_doc_buckets > 1 else None
-    blocks = encode_partition(terms, doc_ids, tfs, dls,
-                              block_size=cfg.block_size,
-                              stripe_size=stripe, **pos_kw)
-    checkpoint.write_table(_stats_partial_from_blocks(blocks), spath)
-    # postings last: the resume marker
-    checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
-    return _manifest_row(skey, path, len(blocks), n_rows,
-                         os.path.getsize(path), resumed=False,
-                         seconds=time.perf_counter() - t0)
+    return write_postings_part(out_dir, skey, cfg, docs_per_bucket,
+                               *decode_partial_group(group))
 
 
 def _doclen_partial(batch: pa.Table) -> pa.Table:
@@ -674,11 +723,6 @@ def build_index(out_dir: str,
         # one row per shuffle group; an empty build has none
         man_table = pa.Table.from_pylist(manifest.take_all(),
                                          schema=_MANIFEST_SCHEMA)
-    man_table = man_table.sort_by("skey")
-    man_path = os.path.join(out_dir, "_manifest.jsonl")
-    checkpoint.write_text(
-        "".join(json.dumps(row) + "\n" for row in man_table.to_pylist()),
-        man_path)
     _mark("merge_shuffle_encode", t0)
     # skew evidence: with doc-range salting no shuffle group should be much
     # larger than the mean even though stopword-grade terms hit 60%+ of docs
@@ -690,17 +734,8 @@ def build_index(out_dir: str,
         metrics["shuffle_balance_max_over_mean"] = round(
             float(nposts.max()) / float(nposts.mean()), 2)
 
-    # ---- stage 4: merge per-group term-stat partials -----------------------
-    # Each shuffle group wrote exact partials for its (term-part, doc-bucket)
-    # slice; the final merge sums S partials per (term, part).
+    # ---- stage 4: manifest + term stats from the segment's own blocks ------
     t0 = time.perf_counter()
-    tsp_dir = os.path.join(out_dir, "term_stats_parts")
-    # an empty build wrote no shuffle group, so no partials
-    part_files = [os.path.join(tsp_dir, f)
-                  for f in sorted(os.listdir(tsp_dir))
-                  if f.endswith(".parquet")] if os.path.isdir(tsp_dir) else []
-    gstats["wdf_ub_global"] = merge_term_stats(
-        part_files, os.path.join(out_dir, "term_stats"))
+    gstats["wdf_ub_global"] = finish_segment(out_dir, man_table)
     _mark("term_stats", t0)
     return commit_build(out_dir, gstats, metrics, next_doc_id, t_start)
-

@@ -63,12 +63,12 @@ count stays about log(generations). The newest segment is never an input:
 its directory is the update's own build record. The merge needs no
 shuffle — every segment shares the P x S layout and doc_ids rise by
 segment, so each ``part-k`` merges on its own: decode the inputs'
-blocks, drop the fold's dead doc_ids, re-block, and take the term stats
-from the output blocks, as a build does. The dropped docs leave the fold
-too: its stats gain D = the inputs' term stats minus the merged
-segment's, per term, and its dead ids lose those in the inputs' doc-id
-range (segments hold disjoint, rising id ranges). Segments + fold keep
-their exact sum.
+blocks, drop the fold's dead doc_ids and write the rest with the build's
+part writer; the build's segment finisher then takes the term stats from
+the merged blocks. The dropped docs leave the fold too: its stats gain
+D = the inputs' term stats minus the merged segment's, per term, and its
+dead ids lose those in the inputs' doc-id range (segments hold disjoint,
+rising id ranges). Segments + fold keep their exact sum.
 
 A merge commits in three steps:
 
@@ -107,18 +107,19 @@ import pyarrow.parquet as pq
 from .. import checkpoint
 from ..config import RECORDED_SETTINGS, IndexConfig
 from .build import (
-    POSTINGS_PARQUET,
+    _MANIFEST_SCHEMA,
     TERM_STATS_SCHEMA,
-    _manifest_row,
-    _stats_partial_from_blocks,
+    _parquet_files,
     build_index,
     commit_build,
     doc_stats,
+    finish_segment,
     merge_term_stats,
     url_map_lookup,
+    write_postings_part,
     write_url_map,
 )
-from .codec import check_codec, decode_postings, encode_partition
+from .codec import check_codec, decode_postings
 
 # a merge folds a trailing run of segments whose doc counts stay within
 # this factor of the next older one (see the module docstring)
@@ -129,8 +130,7 @@ MERGE_FACTOR = 2
 _MERGE_DRIVER_BYTES = 64 << 20
 # a segment's data, as opposed to its build record: a merge writes these,
 # retirement deletes them
-_SEGMENT_DATA = ("postings", "term_stats", "term_stats_parts", "tokenized",
-                 "url_map")
+_SEGMENT_DATA = ("postings", "term_stats", "tokenized", "url_map")
 # the fold's sorted dead doc_ids, beside its term_stats/ directory
 _FOLD_DEAD = "dead.parquet"
 
@@ -149,13 +149,6 @@ def load_segments(index_dir: str) -> dict:
         segs = json.load(f)
     check_codec(segs["global_stats"].get("codec", "varint"))
     return segs
-
-
-def _parquet_files(d: str) -> list[str]:
-    if not os.path.isdir(d):
-        return []
-    return [os.path.join(d, f) for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")]
 
 
 def dead_ids(index_dir: str, fold: str | None) -> np.ndarray:
@@ -189,22 +182,27 @@ def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
     return out
 
 
+def _row_group_id_ranges(md: pq.FileMetaData
+                         ) -> list[tuple[int, int] | None]:
+    """[min, max] doc_id of each row group of a tokenized file, from
+    footer statistics only (no data read); None where they are absent."""
+    idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
+    c = idx.get("doc_id")
+    out = []
+    for rg in range(md.num_row_groups):
+        st = None if c is None else md.row_group(rg).column(c).statistics
+        out.append((int(st.min), int(st.max))
+                   if st is not None and st.has_min_max else None)
+    return out
+
+
 def _file_doc_id_range(path: str) -> tuple[int, int] | None:
     """[min, max] doc_id of one tokenized parquet file from footer
     statistics only (no data read). None when stats are absent."""
-    md = pq.ParquetFile(path).metadata
-    idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
-    c = idx.get("doc_id")
-    if c is None:
+    rng = _row_group_id_ranges(pq.ParquetFile(path).metadata)
+    if not rng or None in rng:
         return None
-    lo = hi = None
-    for rg in range(md.num_row_groups):
-        st = md.row_group(rg).column(c).statistics
-        if st is None or not st.has_min_max:
-            return None
-        lo = st.min if lo is None else min(lo, st.min)
-        hi = st.max if hi is None else max(hi, st.max)
-    return (int(lo), int(hi)) if lo is not None else None
+    return min(r[0] for r in rng), max(r[1] for r in rng)
 
 
 def _file_delta_partial(path: str, ids_sorted: np.ndarray) -> pa.Table:
@@ -212,19 +210,9 @@ def _file_delta_partial(path: str, ids_sorted: np.ndarray) -> pa.Table:
     row groups whose doc_id range misses the id set are skipped via footer
     stats, hit groups read with column pruning and filtered vectorized."""
     pf = pq.ParquetFile(path)
-    md = pf.metadata
-    idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
-    c = idx["doc_id"]
-    hit = []
-    for rg in range(md.num_row_groups):
-        st = md.row_group(rg).column(c).statistics
-        if st is None or not st.has_min_max:
-            hit.append(rg)
-            continue
-        j0 = np.searchsorted(ids_sorted, np.uint64(st.min))
-        j1 = np.searchsorted(ids_sorted, np.uint64(st.max), "right")
-        if j1 > j0:
-            hit.append(rg)
+    hit = [rg for rg, r in enumerate(_row_group_id_ranges(pf.metadata))
+           if r is None or np.searchsorted(ids_sorted, np.uint64(r[0]))
+           < np.searchsorted(ids_sorted, np.uint64(r[1]), "right")]
     if not hit:
         return pa.table({"term": pa.array([], pa.string()),
                          "cnt": pa.array([], pa.int64()),
@@ -408,21 +396,20 @@ def _clear_orphans(index_dir: str, segs: dict) -> None:
 
 def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
                  out_dir: str, cfg: IndexConfig, docs_per_bucket: int
-                 ) -> tuple[int, pa.Table, str | None]:
+                 ) -> tuple[int, dict | None]:
     """Merge one independent group (``item``: kind, key, src) of the
     input segments into ``out_dir``, dropping ``dead`` doc_ids; returns
-    the rows kept, the group's term-stat rows and its ``_manifest.jsonl``
-    line (None when it wrote no postings).
+    the rows kept and the group's manifest row (None when it wrote no
+    postings).
 
-    - ``postings``, key k: every input's ``part-k`` decoded, re-blocked
-      with the index's block size and bucket stripe, written with the
-      build's settings (no file when nothing survives, as in a build);
-      its stats come from the blocks in memory, as a build's do;
+    - ``postings``, key k: every input's ``part-k`` decoded, the dead
+      postings dropped, and written by the build's part writer
+      (``write_postings_part``: the index's block size and bucket stripe,
+      no file when nothing survives);
     - ``tokenized``, key i: input file ``src`` minus the dead rows,
       sorted by doc_id (the footer pruning of ``_stats_deltas_for`` reads
       per-file id ranges)."""
     name = f"part-{item['key']:06d}.parquet"
-    none = (TERM_STATS_SCHEMA.empty_table(), None)
     if item["kind"] == "tokenized":
         t = pq.read_table(item["src"])
         ids = t.column("doc_id").to_numpy().astype(np.uint64)
@@ -430,63 +417,43 @@ def _merge_group(item: dict, dead: np.ndarray, seg_dirs: list[str],
         if len(t):
             checkpoint.write_table(t, os.path.join(out_dir, "tokenized",
                                                    name))
-        return (len(t), *none)
+        return len(t), None
     tabs = [pq.read_table(p) for p in
             (os.path.join(d, "postings", name) for d in seg_dirs)
             if os.path.exists(p)]
     if not tabs:
-        return (0, *none)
-    terms, ids, tfs, dls, *pos = decode_postings(pa.concat_tables(tabs))
-    keep = ~np.isin(ids, dead)
-    pos_kw = {}
-    if pos:
-        pos_kw = {"npos": pos[0][keep],
-                  "pos_payloads": pos[1].filter(pa.array(keep))}
-    blocks = encode_partition(
-        terms.filter(pa.array(keep)), ids[keep], tfs[keep], dls[keep],
-        block_size=cfg.block_size,
-        stripe_size=docs_per_bucket if cfg.num_doc_buckets > 1 else None,
-        **pos_kw)
-    if not len(blocks):
-        return (0, *none)
-    path = os.path.join(out_dir, "postings", name)
-    checkpoint.write_table(blocks, path, **POSTINGS_PARQUET)
-    kept = int(keep.sum())
-    row = _manifest_row(item["key"], path, len(blocks), kept,
-                        os.path.getsize(path), resumed=False, seconds=0.0)
-    return (kept, _stats_partial_from_blocks(blocks),
-            json.dumps(row.to_pylist()[0]))
+        return 0, None
+    cols = decode_postings(pa.concat_tables(tabs))
+    keep = ~np.isin(cols[1], dead)
+    cols = [c[keep] if isinstance(c, np.ndarray)
+            else c.filter(pa.array(keep)) for c in cols]
+    row = write_postings_part(out_dir, item["key"], cfg, docs_per_bucket,
+                              *cols)
+    return len(cols[1]), None if row is None else row.to_pylist()[0]
 
 
 def _merge_batch(batch: pa.Table, **kw) -> pa.Table:
     """map_batches body: ``_merge_group`` of each item row, as (kind,
-    key, kept, manifest, stats) rows; ``stats`` lists the group's
-    term-stat rows."""
+    key, kept, manifest) rows."""
     out = [_merge_group(it, **kw) for it in batch.to_pylist()]
-    stats = pa.concat_tables([o[1] for o in out])
-    offsets = np.concatenate([[0], np.cumsum([len(o[1]) for o in out])])
     return pa.table({
         "kind": batch.column("kind"), "key": batch.column("key"),
         "kept": pa.array([o[0] for o in out], pa.int64()),
-        "manifest": pa.array([o[2] for o in out], pa.string()),
-        "stats": pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), pa.StructArray.from_arrays(
-                [c.combine_chunks() for c in stats.columns],
-                fields=list(stats.schema)))})
+        "manifest": pa.array([o[1] for o in out],
+                             pa.struct(list(_MANIFEST_SCHEMA)))})
 
 
 def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
-                    dead: np.ndarray, g: dict
-                    ) -> tuple[dict, int, pa.Table]:
+                    dead: np.ndarray, g: dict) -> tuple[dict, int]:
     """Write the merge of ``inputs`` (consecutive segments) into
     ``out_dir``: one independent group per posting partition and per
     tokenized file — no shuffle — run locally below
     ``_MERGE_DRIVER_BYTES`` of input and as Ray Data tasks above it (one
     batch function serves both); then the url map from the merged
-    tokenized rows, and the term stats and ``_manifest.jsonl`` from the
-    groups' blocks, as the build takes them: exact, with a tight wdf_ub.
-    Returns the merge's row counts for its ``_metrics.json``, the max
-    wdf_ub and the groups' term-stat rows (not yet summed per term)."""
+    tokenized rows, and ``finish_segment``: the manifest and the term
+    stats from the merged segment's own blocks, as a build takes them —
+    exact, with a tight wdf_ub. Returns the merge's row counts for its
+    ``_metrics.json`` and the max wdf_ub."""
     cfg = IndexConfig.from_gstats(g)
     seg_dirs = [os.path.join(index_dir, s) for s in inputs]
     tok_files = [f for d in seg_dirs
@@ -516,31 +483,27 @@ def _merge_segments(index_dir: str, inputs: list[str], out_dir: str,
                                os.path.join(tok_dir, checkpoint.EMPTY_FILE))
     if "url" in schema.names:
         write_url_map(out_dir)
-    flat = pc.list_flatten(res.column("stats"))
-    partials = pa.table({f.name: pc.struct_field(flat, f.name)
-                         for f in TERM_STATS_SCHEMA})
-    wdf_ub = merge_term_stats([], os.path.join(out_dir, "term_stats"),
-                              partials if len(partials) else None)
-    man = res.filter(pc.is_valid(res.column("manifest"))).sort_by("key")
-    checkpoint.write_text(
-        "".join(m + "\n" for m in man.column("manifest").to_pylist()),
-        os.path.join(out_dir, "_manifest.jsonl"))
+    man = res.column("manifest").drop_null().to_pylist()
+    wdf_ub = finish_segment(out_dir, pa.Table.from_pylist(
+        man, schema=_MANIFEST_SCHEMA))
     kept = res.select(["kind", "kept"]).to_pylist()
     return {f"{kind}_rows_out": sum(r["kept"] for r in kept
                                     if r["kind"] == kind)
-            for kind in ("postings", "tokenized")}, wdf_ub, partials
+            for kind in ("postings", "tokenized")}, wdf_ub
 
 
 def _write_merge_fold(index_dir: str, segs: dict, inputs: list[str],
-                      merged_stats: pa.Table, fold: str) -> None:
+                      merged: str, fold: str) -> None:
     """Write ``fold``: the committed fold with the docs the merge of
-    ``inputs`` dropped moved out. Its stats are the committed fold's
-    rows plus D = the inputs' term stats minus ``merged_stats`` (the
-    merged segment's, as ``_merge_segments`` returned them), per term
-    (wdf_ub 0; ``merge_term_stats`` drops the rows that sum to termfreq
-    0). Its dead ids are the committed fold's minus those in the inputs'
-    doc-id range, from their tokenized footers."""
-    def signed(t: pa.Table, sign: int) -> pa.Table:
+    ``inputs`` into segment ``merged`` dropped moved out. Its stats are
+    the committed fold's rows plus D = the inputs' term stats minus the
+    merged segment's, per term, each read from its ``term_stats/`` (wdf_ub
+    0; ``merge_term_stats`` drops the rows that sum to termfreq 0). Its
+    dead ids are the committed fold's minus those in the inputs' doc-id
+    range, from their tokenized footers."""
+    def signed(seg: str, sign: int) -> pa.Table:
+        t = pq.ParquetDataset(_parquet_files(os.path.join(
+            index_dir, seg, "term_stats"))).read()
         return pa.table({"term": t.column("term"), **{
             c: pc.multiply(t.column(c), sign) for c in ("termfreq",
                                                         "collfreq")},
@@ -553,9 +516,7 @@ def _write_merge_fold(index_dir: str, segs: dict, inputs: list[str],
         lo, hi = min(r[0] for r in rng), max(r[1] for r in rng)
         dead = dead[(dead < lo) | (dead > hi)]
     _put_fold(index_dir, fold, segs.get("fold"), pa.concat_tables(
-        [signed(pq.ParquetDataset(_parquet_files(os.path.join(
-            index_dir, s, "term_stats"))).read(), 1) for s in inputs]
-        + [signed(merged_stats, -1)]), dead)
+        [signed(s, 1) for s in inputs] + [signed(merged, -1)]), dead)
 
 
 def _merge_tail(index_dir: str, segs: dict) -> dict:
@@ -578,10 +539,10 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
     t0 = time.perf_counter()
     out_dir = os.path.join(index_dir, rel)
     checkpoint.clear_dir(out_dir)
-    counts, _, merged_stats = _merge_segments(
+    counts, _ = _merge_segments(
         index_dir, inputs, out_dir, dead_ids(index_dir, segs.get("fold")),
         segs["global_stats"])
-    _write_merge_fold(index_dir, segs, inputs, merged_stats, fold)
+    _write_merge_fold(index_dir, segs, inputs, rel, fold)
     checkpoint.write_text(json.dumps({
         "merge_s": round(time.perf_counter() - t0, 3),
         "merge_inputs": len(inputs), **counts}, indent=1),
@@ -600,14 +561,15 @@ def _merge_tail(index_dir: str, segs: dict) -> dict:
 def update_index(index_dir: str,
                  paths: list[str] | None = None,
                  dataset=None,
-                 cfg: IndexConfig | None = None,
                  dataset_fn=None) -> dict:
     """Upsert new/changed docs into an existing index. Input is exactly
     one of ``paths``, ``dataset`` and ``dataset_fn`` (ValueError
     otherwise, before anything is written); its shape matches build_index
     (pages parquet paths, or a Dataset with url + text/html, or an
     already-tokenized Dataset). ``paths`` go to ``build_index`` as paths,
-    so a small batch builds on the driver. Docs whose url already
+    so a small batch builds on the driver. The batch always builds with
+    the index's recorded settings (``IndexConfig.from_gstats``), the
+    P x S layout the reader looks terms up in. Docs whose url already
     exists replace the old version (old doc_id tombstoned). Returns the
     updated global stats.
 
@@ -631,7 +593,6 @@ def update_index(index_dir: str,
     g = segs["global_stats"]
     _clear_orphans(index_dir, segs)
     segs = _merge_tail(index_dir, segs)
-    cfg = cfg or IndexConfig.from_gstats(g)
     gen = segs["next_gen"]
     seg_rel = os.path.join("updates", f"gen-{gen:04d}")
     seg_dir = os.path.join(index_dir, seg_rel)
@@ -647,7 +608,8 @@ def update_index(index_dir: str,
         # sort (the update path's last all-to-all) for file-backed input
         dataset = dataset_fn(segs["next_doc_id"])
     # a paths batch stays paths: a small one builds on the driver
-    gseg = build_index(seg_dir, paths=paths, dataset=dataset, cfg=cfg,
+    gseg = build_index(seg_dir, paths=paths, dataset=dataset,
+                       cfg=IndexConfig.from_gstats(g),
                        id_base=segs["next_doc_id"],
                        docs_per_bucket=int(g["docs_per_bucket"]))
 
@@ -745,8 +707,8 @@ def compact(index_dir: str, out_dir: str) -> dict:
         os.remove(_segments_path(out_dir))
     for sub in _SEGMENT_DATA:
         checkpoint.clear_dir(os.path.join(out_dir, sub))
-    _, wdf_ub, _ = _merge_segments(index_dir, segs["segments"], out_dir,
-                                   dead_ids(index_dir, segs.get("fold")), g)
+    _, wdf_ub = _merge_segments(index_dir, segs["segments"], out_dir,
+                                dead_ids(index_dir, segs.get("fold")), g)
     metrics = {"merge": round(time.perf_counter() - t_start, 3)}
     gstats, next_doc_id = doc_stats(os.path.join(out_dir, "tokenized"))
     gstats.update({k: getattr(cfg, k) for k in RECORDED_SETTINGS},

@@ -1834,7 +1834,7 @@ def crawl_refresh_pipeline(sf_dir: str, min_tokens: int = 30,
         # survivors: the checkpoint pins the schema, and the update
         # commits an empty generation
         checkpoint.write_dataset(survivors, surv_ck, _REFRESH_DOC_SCHEMA)
-        update_index(out, dataset=ray.data.read_parquet(surv_ck), cfg=cfg)
+        update_index(out, dataset=ray.data.read_parquet(surv_ck))
         checkpoint.mark_done(out, "_REFRESH_DONE")
     node = _or_node(terms)
     qcfg = QueryConfig(k=k, params=BM25Params.classic())

@@ -16,6 +16,9 @@ from markdown_query_ray.index.codec import (
     encode_varints,
 )
 
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), max_size=200))
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,9 @@ from markdown_query_ray.index.reader import IndexReader
 from markdown_query_ray.query import executor as qx
 from markdown_query_ray.query.ast import And, Or, Term, Wildcard
 
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CFG = IndexConfig(tokenizer="simple", stem=False, num_term_parts=2,
                   num_doc_buckets=2, block_size=4)
 QCFG = QueryConfig(k=100, params=BM25Params.classic())

@@ -8,7 +8,12 @@ std::nth_element(v.begin(), v.begin()+k-1, v.end(), key-descending) with
 the system libstdc++ over (key, id) pairs and recording the FULL
 post-call id order (not just the selected set)."""
 
+import pytest
+
 from markdown_query_ray.functions.introselect import nth_element
+
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GOLDEN = [
     (3, [1, 1, 0, 2, 0, 0, 0, 0, 0, 1],

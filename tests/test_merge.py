@@ -21,6 +21,9 @@ from markdown_query_ray.index.reader import IndexReader
 from markdown_query_ray.query import executor as qx
 from markdown_query_ray.query.ast import And, Or, Phrase, Term
 
+# exact arithmetic: a RuntimeWarning here is an engine bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 QCFG = QueryConfig(k=100, params=BM25Params.classic())
 QUERIES = (Term("alpha"), Term("gamma"), Or((Term("beta"), Term("rev"))),
            And((Term("alpha"), Term("gamma"))))

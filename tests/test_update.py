@@ -182,6 +182,35 @@ def test_update_adds_and_replaces(base_index, tmp_path):
     assert alpha_ids == (set(range(20)) - {3}) | {20}
 
 
+def test_update_builds_with_the_index_layout(ray_session, tmp_path):
+    """An update always builds with the index's recorded P x S layout,
+    which the reader looks terms up in: ``update_index`` takes no
+    ``cfg`` (a delta built with another P committed terms no query
+    could find), so such a call writes nothing, and the update finds a
+    term only a new doc holds."""
+    import ray.data
+
+    p = str(tmp_path / "base.parquet")
+    _pages([(f"u{i}", f"zeta{i} other{i % 4}") for i in range(10)], p)
+    idx = str(tmp_path / "idx")
+    build_index(idx, dataset=ray.data.read_parquet(p), total_docs=10,
+                cfg=IndexConfig(tokenizer="simple", stem=False,
+                                num_term_parts=8, num_doc_buckets=1))
+    upd = str(tmp_path / "upd.parquet")
+    _pages([(f"n{i}", f"word{i} zeta1 other3") for i in range(6)], upd,
+           base_id=10)
+    before = [(d, sorted(f)) for d, _, f in sorted(os.walk(idx))]
+    with pytest.raises(TypeError):
+        update_index(idx, dataset=ray.data.read_parquet(upd),
+                     cfg=IndexConfig(num_term_parts=3))
+    assert [(d, sorted(f)) for d, _, f in sorted(os.walk(idx))] == before
+    assert load_segments(idx)["next_gen"] == 1
+    update_index(idx, dataset=ray.data.read_parquet(upd))
+    assert _search_ids(idx, "word2") == {12}
+    assert IndexReader(idx).term_stats(["word2"])["word2"]["termfreq"] == 1
+    assert _search_ids(idx, "zeta1") == {1} | set(range(10, 16))
+
+
 def test_update_crash_before_commit_is_idempotent(base_index, tmp_path):
     """segments.json is the atomic commit point. Simulate a crash AFTER the
     segment build / tombstones / global_stats.json write but BEFORE the
