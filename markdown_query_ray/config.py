@@ -108,11 +108,6 @@ class IndexConfig:
         did not record takes its default."""
         return cls(**{k: g[k] for k in RECORDED_SETTINGS if k in g})
 
-    def doc_bucket_of(self, doc_id):
-        if self.num_doc_buckets <= 1:
-            return doc_id * 0
-        return (doc_id // self.docs_per_bucket) % self.num_doc_buckets
-
 
 # the IndexConfig fields global_stats.json records: every setting that
 # changes what a build writes, so updates and compaction rebuild alike

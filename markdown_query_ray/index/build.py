@@ -8,6 +8,7 @@ restructured for streaming execution over a multi-node cluster:
       -> extract_batch (html->text, drop html)          [stateless tasks]
       -> TokenizeStage                                  [actor pool]
       -> write tokenized/ staging parquet               [CHECKPOINT]
+    tokenized/ (url, doc_id, doclen) -> url_map/        [sort by url]
     tokenized/ -> docs/ + global_stats.json             [cheap aggregate]
     tokenized/ -> PartialPostingsStage                  [map-side combine:
                     (skey, term, n, varint-packed ids/tfs/dls) per batch]
@@ -35,6 +36,13 @@ reference keeps a term's termfreq/collfreq in its own posting list
 parts and finishes its segment with the same two functions. Every write
 and commit marker goes through ``markdown_query_ray/checkpoint.py``.
 
+A segment's two dictionaries are sorted runs in row groups of
+``SORTED_RUN_ROW_GROUP``: ``term_stats/`` by term and ``url_map/`` by
+(url, doc_id), where an update looks up the urls it replaces (the
+reference finds its upsert key ``Q<url>`` in its one term dictionary,
+backends/database.cc:193-208). ``read_sorted_run`` reads either by keys,
+and tokenized files by doc_id, through their footers.
+
 One set of stage callables, two executors. The plan above is the Ray
 leg. A ``paths`` build whose files hold at most ``DRIVER_BUILD_BYTES``
 takes the driver leg instead: the same callables on Arrow tables in a
@@ -42,8 +50,8 @@ local loop — ``_ReadShard`` over the (path, base) control rows,
 ``extract_batch``, ``TokenizeStage`` per ``tokenize_batch_size`` slice
 (one ``tokenized/`` file, one row group per slice),
 ``PartialPostingsStage`` per ``postings_batch_size`` slice, one
-``encode_write_group`` per ``skey``, then the driver-side url map, doc
-stats and term-stats fold. At update-batch size Ray Data's per-job
+``encode_write_group`` per ``skey``, then the url map, doc stats and
+term-stats fold. At update-batch size Ray Data's per-job
 fixed costs exceed the work; both legs write the same postings and term
 stats byte for byte. Dataset inputs always take the Ray leg.
 """
@@ -53,6 +61,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -204,125 +214,98 @@ def _manifest_row(skey: int, path: str, n_blocks: int, n_postings: int,
 # that (0.77 s against 0.10). So the leg is kept to update-batch size,
 # below a typical base build
 DRIVER_BUILD_BYTES = 4 << 20
-URL_MAP_BUCKETS = 64
-# below this many rows the url map is written in one local pass (the Ray
-# shuffle's fixed cost exceeds the work); above it, a bucket groupby.
-# Measured crossover: 5k docs 0.1 s local vs 1.4 s Ray, but 784k docs
-# ~28 s local (single-threaded read + 64 filter passes) vs ~1 s inside
-# the distributed build — keep this threshold low.
+# below this many rows the url map is sorted and written in one local pass
+# (a Ray sort's fixed cost exceeds the work); above it, by a Ray sort
 URL_MAP_DRIVER_ROWS = 100_000
 # term-stat partial rows merged driver-side in one Arrow groupby; above
 # this the merge runs as a distributed Ray groupby, so a trillion-doc
 # term dictionary never has to fit on the driver
 TERM_STATS_DRIVER_ROWS = 2_000_000
-# rows per row group of every term_stats file (both legs of
-# merge_term_stats): the reader reads only the groups whose footer
-# [min, max] term range can hold the query's terms, so small groups read
-# few rows. On a refresh-shaped index, cold lookups took 6.7 ms per call
-# at 1,024 rows against 11.0 at 4,096, for 9% more stats bytes
-TERM_STATS_ROW_GROUP = 1024
+# rows per row group of every sorted run (term_stats/ and url_map/ files,
+# both legs of each): ``read_sorted_run`` reads only the groups whose
+# footer [min, max] key range can hold a looked-up key, so small groups
+# read few rows. On a refresh-shaped index, cold term lookups took 6.7 ms
+# per call at 1,024 rows against 11.0 at 4,096, for 9% more stats bytes
+SORTED_RUN_ROW_GROUP = 1024
 # parquet settings of every postings/part-*.parquet: small row groups so
 # the reader's term filter prunes, the term column dictionary-encoded
 POSTINGS_PARQUET = {"row_group_size": 4096, "use_dictionary": ["term"]}
+# the greatest code point: the strings under prefix p lie in [p, p + it]
+_MAXCHAR = "\U0010ffff"
 
 
-def _url_bucket_batch(batch: pa.Table) -> pa.Table:
-    """(url, doc_id, doclen, ubucket) rows for the url-map shuffle; bucket =
-    FNV-1a64(url) % URL_MAP_BUCKETS (the same vectorized hash updates use
-    for lookups)."""
-    from ..functions.hashing import fnv1a64_strings
-
-    col = batch.column("url")
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    h = fnv1a64_strings(col)
-    return pa.table({
-        "url": batch.column("url"),
-        "doc_id": batch.column("doc_id"),
-        "doclen": batch.column("doclen"),
-        "ubucket": pa.array((h % np.uint64(URL_MAP_BUCKETS))
-                            .astype(np.int32)),
-    })
-
-
-def _write_url_map_group(group: pa.Table, out_dir: str) -> pa.Table:
-    """map_groups body: write one url-map bucket file atomically."""
-    b = int(group.column("ubucket")[0].as_py())
-    path = os.path.join(out_dir, "url_map", f"umap-{b:04d}.parquet")
-    if not os.path.exists(path):
-        checkpoint.write_table(group.select(["url", "doc_id", "doclen"]),
-                               path)
-    return pa.table({"bucket": pa.array([b], pa.int32()),
-                     "rows": pa.array([group.num_rows], pa.int64())})
+def read_sorted_run(path: str, col: str, keys, prefixes=(),
+                    columns: list[str] | None = None) -> pa.Table:
+    """The row groups of one parquet file that can hold one of the sorted
+    ``keys`` in column ``col``, or a string under one of ``prefixes``
+    (``keys=None``: every group), read with ``columns``. Reads the footer,
+    then only the groups whose [min, max] ``col`` range overlaps a key or
+    a ``[p, p + U+10FFFF]`` range. A group without statistics is read, so
+    only the pruning, never the answer, rests on the file being sorted by
+    ``col``; callers filter the rows to their keys. Term stats (by term),
+    url maps (by url) and tokenized files (by doc_id) are all read here."""
+    pf = pq.ParquetFile(path)
+    md = pf.metadata
+    c = md.schema.names.index(col)
+    groups = []
+    for i in range(md.num_row_groups):
+        st = md.row_group(i).column(c).statistics
+        if keys is not None and st is not None and st.has_min_max:
+            lo, hi = st.min, st.max
+            j = bisect_left(keys, lo)
+            if not ((j < len(keys) and keys[j] <= hi) or any(
+                    p <= hi and lo <= p + _MAXCHAR for p in prefixes)):
+                continue
+        groups.append(i)
+    return pf.read_row_groups(groups, columns=columns)
 
 
 def write_url_map(out_dir: str) -> None:
     """Write ``out_dir/url_map/`` from the (url, doc_id, doclen) columns
-    of ``out_dir/tokenized/``: one file per hash bucket, then the done
-    marker."""
+    of ``out_dir/tokenized/``: a sorted run in (url, doc_id) order, in row
+    groups of ``SORTED_RUN_ROW_GROUP`` — one file sorted on the driver up
+    to URL_MAP_DRIVER_ROWS rows, else a Ray sort whose files, in name
+    order, continue the run — then the done marker."""
     tok_dir = os.path.join(out_dir, "tokenized")
     um_dir = os.path.join(out_dir, "url_map")
+    cols = ["url", "doc_id", "doclen"]
     checkpoint.clear_dir(um_dir)
-    tok_rows = sum(
-        pq.ParquetFile(os.path.join(tok_dir, f)).metadata.num_rows
-        for f in os.listdir(tok_dir) if f.endswith(".parquet"))
+    tok_rows = sum(pq.read_metadata(f).num_rows
+                   for f in _parquet_files(tok_dir))
     if tok_rows <= URL_MAP_DRIVER_ROWS:
-        # small build: one local pass beats a Ray shuffle whose fixed
-        # scheduling cost exceeds the work (measured 1.4 s vs 0.1 s at
-        # 5k docs)
-        t = pq.ParquetDataset(tok_dir).read(
-            columns=["url", "doc_id", "doclen"])
-        bucketed = _url_bucket_batch(t)
-        ub = bucketed.column("ubucket").to_numpy()
-        for b in np.unique(ub):
-            _write_url_map_group(
-                bucketed.filter(pa.array(ub == b)), out_dir)
+        t = pq.ParquetDataset(tok_dir).read(columns=cols)
+        checkpoint.write_table(
+            t.sort_by([("url", "ascending"), ("doc_id", "ascending")]),
+            os.path.join(um_dir, "part-000000.parquet"),
+            row_group_size=SORTED_RUN_ROW_GROUP)
     else:
-        from functools import partial
-
         import ray.data
 
-        ray.data.read_parquet(
-            tok_dir, file_extensions=["parquet"],
-            columns=["url", "doc_id", "doclen"]
-        ).map_batches(
-            _url_bucket_batch, batch_format="pyarrow"
-        ).groupby("ubucket").map_groups(
-            partial(_write_url_map_group, out_dir=out_dir),
-            batch_format="pyarrow").materialize()
+        checkpoint.write_dataset(ray.data.read_parquet(
+            tok_dir, file_extensions=["parquet"], columns=cols
+        ).sort(["url", "doc_id"]), um_dir,
+            row_group_size=SORTED_RUN_ROW_GROUP)
     checkpoint.mark_done(um_dir, "_SUCCESS")
 
 
 def url_map_lookup(seg_dir: str, urls: list[str]) -> pa.Table:
-    """(doc_id, url, doclen) rows of ``urls`` from a segment's url map,
-    reading ONLY the hash buckets the urls fall in — the per-update lookup
-    never scans the segment's corpus. Raises FileNotFoundError when the
-    segment has no complete url map (it has no ``url`` column, or its
-    build did not finish)."""
+    """(doc_id, url, doclen) rows of ``urls`` from a segment's url map.
+    Its cost is the footers of the map's files plus the row groups whose
+    [min, max] url range can hold a queried url (``read_sorted_run``) —
+    never the segment's corpus. Raises FileNotFoundError when the segment
+    has no complete url map (it has no ``url`` column, or its build did
+    not finish)."""
     um_dir = os.path.join(seg_dir, "url_map")
     if not checkpoint.is_done(um_dir, "_SUCCESS"):
         raise FileNotFoundError(f"{seg_dir}: no complete url map")
-    from ..functions.hashing import fnv1a64_strings
-
-    need = np.unique(fnv1a64_strings(pa.array(urls, pa.string()))
-                     % np.uint64(URL_MAP_BUCKETS))
-    tabs = []
-    for b in need:
-        p = os.path.join(um_dir, f"umap-{int(b):04d}.parquet")
-        if os.path.exists(p):
-            t = pq.read_table(p)
-            t = t.filter(pc.is_in(t.column("url"),
-                                  value_set=pa.array(urls, pa.string())))
-            if len(t):
-                tabs.append(t.select(["doc_id", "url", "doclen"]))
-    if not tabs:
-        return pa.table({"doc_id": pa.array([], pa.uint64()),
-                         "url": pa.array([], pa.string()),
-                         "doclen": pa.array([], pa.uint32())})
-    out = pa.concat_tables(tabs)
-    return pa.table({"doc_id": out.column("doc_id").cast(pa.uint64()),
-                     "url": out.column("url"),
-                     "doclen": out.column("doclen").cast(pa.uint32())})
+    keys = sorted(set(urls))
+    schema = pa.schema([("doc_id", pa.uint64()), ("url", pa.string()),
+                        ("doclen", pa.uint32())])
+    t = pa.concat_tables([schema.empty_table()] + [
+        read_sorted_run(f, "url", keys, columns=schema.names).cast(schema)
+        for f in _parquet_files(um_dir)])
+    return t.filter(pc.is_in(t.column("url"),
+                             value_set=pa.array(keys, pa.string())))
 
 
 def _parquet_files(d: str) -> list[str]:
@@ -353,7 +336,7 @@ def _stats_partial_from_blocks(blocks: pa.Table) -> pa.Table:
 def _fold_term_stats(src, ts_dir: str) -> int:
     """Sum ``TERM_STATS_SCHEMA`` rows per term into ``ts_dir`` — termfreq
     and collfreq summed, wdf_ub maxed — sorted by term, in row groups of
-    ``TERM_STATS_ROW_GROUP``; a term whose termfreq sums to 0 (every dead
+    ``SORTED_RUN_ROW_GROUP``; a term whose termfreq sums to 0 (every dead
     doc holding it left the fold at a merge) is dropped. ``src`` is an
     Arrow table, folded on the driver, or a Ray Dataset, folded by a Ray
     groupby. Returns the max wdf_ub — the glass version-file wdf_ubound
@@ -374,7 +357,7 @@ def _fold_term_stats(src, ts_dir: str) -> int:
             merged, sort_keys=[("term", "ascending")]))
         checkpoint.write_table(
             merged, os.path.join(ts_dir, "part-000000.parquet"),
-            row_group_size=TERM_STATS_ROW_GROUP)
+            row_group_size=SORTED_RUN_ROW_GROUP)
         return int(pc.max(merged.column("wdf_ub")).as_py() or 0)
     from ray.data.aggregate import Max, Sum
 
@@ -384,7 +367,7 @@ def _fold_term_stats(src, ts_dir: str) -> int:
             Sum("collfreq", alias_name="collfreq"),
             Max("wdf_ub", alias_name="wdf_ub")).filter(
             expr="termfreq != 0"), ts_dir,
-        row_group_size=TERM_STATS_ROW_GROUP)
+        row_group_size=SORTED_RUN_ROW_GROUP)
     return int(src.aggregate(Max("wdf_ub", alias_name="m"))["m"] or 0)
 
 
@@ -678,11 +661,11 @@ def build_index(out_dir: str,
         checkpoint.mark_done(tok_dir, "_SUCCESS")
     _mark("extract_tokenize", t0)
 
-    # ---- stage 1b: url -> (doc_id, doclen) hash-bucketed map ---------------
+    # ---- stage 1b: url -> (doc_id, doclen) sorted run ----------------------
     # Updates look up replaced urls here instead of scanning every segment's
-    # tokenized table (a corpus scan per update batch at 10^12 docs). One
-    # small shuffle of (url, doc_id, doclen) rows into URL_MAP_BUCKETS
-    # bucket files; lookups read only the buckets their urls hash to.
+    # tokenized table (a corpus scan per update batch at 10^12 docs). The
+    # (url, doc_id, doclen) rows sorted by url, like term_stats/ by term;
+    # a lookup reads the row groups whose footer url range can hold a url.
     t0 = time.perf_counter()
     if "url" in pq.ParquetDataset(tok_dir).schema.names and \
             not checkpoint.is_done(os.path.join(out_dir, "url_map"),

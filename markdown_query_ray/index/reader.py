@@ -22,7 +22,6 @@ reads, unrelated partitions.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 
 import numpy as np
 import pyarrow as pa
@@ -31,11 +30,10 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..functions.introselect import nth_element
-from .build import term_part
+from .build import _MAXCHAR, read_sorted_run, term_part
 from .codec import blocks_schema, first_value
 from .update import _parquet_files, dead_ids, fold_stats_files, load_segments
 
-_MAXCHAR = "\U0010ffff"
 _STATS_COLS = ("term", "termfreq", "collfreq", "wdf_ub")
 
 
@@ -62,29 +60,6 @@ def select_wildcard(stats: dict[str, dict], prefix: str, limit: int = 0,
         return sorted(t for _, t in arr[:limit])
     terms = [t for t, _ in alive]
     return terms[:limit] if limit else terms
-
-
-def _stats_rows(path: str, terms: list[str] | None, prefixes: list[str]):
-    """The row groups of one term_stats file that can hold the sorted
-    ``terms`` or a term under ``prefixes`` (``terms=None``: the whole
-    file), read with ``_STATS_COLS``. Reads the footer, then only the groups whose [min, max] term range overlaps a
-    term or a ``[p, p + U+10FFFF]`` range. A group without statistics is
-    read, so only the pruning, never the answer, rests on the file's sort
-    order."""
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    col = md.schema.names.index("term")
-    groups = []
-    for i in range(md.num_row_groups):
-        st = md.row_group(i).column(col).statistics
-        if terms is not None and st is not None and st.has_min_max:
-            lo, hi = st.min, st.max
-            j = bisect_left(terms, lo)
-            if not ((j < len(terms) and terms[j] <= hi) or any(
-                    p <= hi and lo <= p + _MAXCHAR for p in prefixes)):
-                continue
-        groups.append(i)
-    return pf.read_row_groups(groups, columns=list(_STATS_COLS))
 
 
 class IndexReader:
@@ -179,15 +154,16 @@ class IndexReader:
 
     def _dictionary(self, terms: list[str] | None, prefixes: list[str]
                     ) -> dict[str, dict]:
-        """Segment stats and the fold's deltas summed per term, for
-        ``terms`` and ``prefixes`` as in ``_stats_rows``; dead terms
-        omitted."""
+        """Segment stats and the fold's deltas summed per term, for the
+        sorted ``terms`` and ``prefixes`` as in ``read_sorted_run``
+        (``terms=None``: every term); dead terms omitted."""
         files = [f for seg in self.segments for f in _parquet_files(
             os.path.join(self.index_dir, seg, "term_stats"))]
         files += fold_stats_files(self.index_dir, self.fold)
         if not files:
             return {}
-        t = pa.concat_tables(_stats_rows(f, terms, prefixes) for f in files)
+        t = pa.concat_tables(read_sorted_run(
+            f, "term", terms, prefixes, list(_STATS_COLS)) for f in files)
         if terms is not None:
             term = t.column("term")
             keep = pc.is_in(term, value_set=pa.array(terms, pa.string()))

@@ -22,7 +22,12 @@ Each update's segment is a ``build_index`` of the batch with the index's
 recorded settings and stripe width (``docs_per_bucket``), its doc_ids
 continuing at ``next_doc_id``. A batch given as ``paths`` stays paths, so
 one under ``build.DRIVER_BUILD_BYTES`` — a refresh generation — builds on
-the driver leg, without a Ray Data job.
+the driver leg, without a Ray Data job. The urls it replaces are looked
+up in each segment's ``url_map/``, a run sorted by url (as ``term_stats/``
+is by term): the lookup reads the footers and the row groups whose url
+range can hold a batch url, and the replaced docs' stat deltas read the
+tokenized row groups whose doc_id range can hold a replaced id, both
+through ``build.read_sorted_run``.
 
 One rule holds the stats: a segment's term stats are its own blocks'
 stats, and the fold subtracts the dead docs still on disk. Queries see
@@ -115,6 +120,7 @@ from .build import (
     doc_stats,
     finish_segment,
     merge_term_stats,
+    read_sorted_run,
     url_map_lookup,
     write_postings_part,
     write_url_map,
@@ -169,10 +175,10 @@ def fold_stats_files(index_dir: str, fold: str | None) -> list[str]:
 
 def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
     """(doc_id, url, doclen) of LIVE docs among ``urls`` across segments,
-    from each segment's hash-bucketed url map (only the buckets the urls
-    fall in — no corpus scan per update). Only the committed fold's dead
-    ids count: a re-run after a crash mid-commit recomputes the SAME
-    replaced set, not an empty one."""
+    from each segment's url-sorted url map (``url_map_lookup``: only the
+    row groups that can hold the urls — no corpus scan per update). Only
+    the committed fold's dead ids count: a re-run after a crash
+    mid-commit recomputes the SAME replaced set, not an empty one."""
     ts = dead_ids(index_dir, segs.get("fold"))
     out = pa.concat_tables([url_map_lookup(os.path.join(index_dir, s), urls)
                             for s in segs["segments"]])
@@ -182,42 +188,25 @@ def _live_url_ids(index_dir: str, segs: dict, urls: list[str]) -> pa.Table:
     return out
 
 
-def _row_group_id_ranges(md: pq.FileMetaData
-                         ) -> list[tuple[int, int] | None]:
-    """[min, max] doc_id of each row group of a tokenized file, from
-    footer statistics only (no data read); None where they are absent."""
-    idx = {md.schema.column(i).name: i for i in range(md.num_columns)}
-    c = idx.get("doc_id")
-    out = []
-    for rg in range(md.num_row_groups):
-        st = None if c is None else md.row_group(rg).column(c).statistics
-        out.append((int(st.min), int(st.max))
-                   if st is not None and st.has_min_max else None)
-    return out
-
-
 def _file_doc_id_range(path: str) -> tuple[int, int] | None:
-    """[min, max] doc_id of one tokenized parquet file from footer
-    statistics only (no data read). None when stats are absent."""
-    rng = _row_group_id_ranges(pq.ParquetFile(path).metadata)
-    if not rng or None in rng:
+    """[min, max] doc_id of one tokenized parquet file from its footer
+    statistics (no data read); None when a row group has none."""
+    md = pq.read_metadata(path)
+    c = md.schema.names.index("doc_id")
+    st = [md.row_group(i).column(c).statistics
+          for i in range(md.num_row_groups)]
+    if not st or not all(x is not None and x.has_min_max for x in st):
         return None
-    return min(r[0] for r in rng), max(r[1] for r in rng)
+    return min(x.min for x in st), max(x.max for x in st)
 
 
 def _file_delta_partial(path: str, ids_sorted: np.ndarray) -> pa.Table:
     """POSITIVE per-term (count, sum) partial for one file's replaced rows:
-    row groups whose doc_id range misses the id set are skipped via footer
-    stats, hit groups read with column pruning and filtered vectorized."""
-    pf = pq.ParquetFile(path)
-    hit = [rg for rg, r in enumerate(_row_group_id_ranges(pf.metadata))
-           if r is None or np.searchsorted(ids_sorted, np.uint64(r[0]))
-           < np.searchsorted(ids_sorted, np.uint64(r[1]), "right")]
-    if not hit:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "cnt": pa.array([], pa.int64()),
-                         "tot": pa.array([], pa.int64())})
-    t = pf.read_row_groups(hit, columns=["doc_id", "terms", "tfs"])
+    only the row groups whose footer doc_id range can hold a replaced id
+    are read (``read_sorted_run``), with column pruning, and filtered
+    vectorized."""
+    t = read_sorted_run(path, "doc_id", ids_sorted,
+                        columns=["doc_id", "terms", "tfs"])
     mask = np.isin(t.column("doc_id").to_numpy().astype(np.uint64),
                    ids_sorted)
     t = t.filter(pa.array(mask))
@@ -647,7 +636,7 @@ def delete_documents(index_dir: str, urls: list[str]) -> dict:
     """Delete-by-url: the reference's delete-by-unique-key-term semantics
     (xapian WritableDatabase::delete_document(term) — public
     api/omdatabase.cc) as a tombstone-only generation. No segment is
-    added: the LIVE (url -> doc_id) set resolves through the bucketed
+    added: the LIVE (url -> doc_id) set resolves through the url-sorted
     url maps (no corpus scan), those ids tombstone, NEGATIVE per-term
     stat deltas keep termfreq/collfreq exact, and global
     n_docs/avg_doclen update exactly from the deleted docs' stored
@@ -659,8 +648,8 @@ def delete_documents(index_dir: str, urls: list[str]) -> dict:
     deleted) is a no-op that still consumes a generation.
 
     At trillion-doc scale callers batch the url list (the live lookup
-    is bounded by |urls| x touched url-map buckets, never a corpus
-    pass)."""
+    reads the url maps' row groups whose url range can hold a url,
+    never a corpus pass)."""
     segs = load_segments(index_dir)
     g = segs["global_stats"]
     _clear_orphans(index_dir, segs)

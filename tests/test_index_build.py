@@ -204,9 +204,10 @@ def test_staging_checkpoint_resume(ray_session, pages_corpus, tmp_path,
 
 def test_distributed_stats_and_url_map_legs_match_driver(
         ray_session, pages_corpus, tmp_path, built_index, monkeypatch):
-    """Past their row thresholds the term-stats merge and the url map run
-    as Ray groupbys instead of driver-side passes; both legs must write
-    the same term dictionary, wdf bound and url map."""
+    """Past their row thresholds the term-stats merge runs as a Ray
+    groupby and the url map as a Ray sort instead of driver-side passes;
+    both legs must write the same term dictionary, wdf bound and url map
+    (its files, in name order, the driver's one sorted run)."""
     import pyarrow as pa
 
     monkeypatch.setattr(build_mod, "URL_MAP_DRIVER_ROWS", 0)
@@ -227,15 +228,15 @@ def test_distributed_stats_and_url_map_legs_match_driver(
                 == rv.expand_wildcard(prefix, limit, most_frequent=True)
 
     def url_map(d):
-        files = sorted(os.listdir(os.path.join(d, "url_map")))
-        t = pa.concat_tables(
+        files = sorted(f for f in os.listdir(os.path.join(d, "url_map"))
+                       if f.endswith(".parquet"))
+        return pa.concat_tables(
             [pq.read_table(os.path.join(d, "url_map", f))
-             for f in files if f.endswith(".parquet")])
-        return files, t.sort_by("url").to_pylist()
+             for f in files]).to_pylist()
 
-    base_files, base_rows = url_map(base_dir)
+    base_rows = url_map(base_dir)
     assert len(base_rows) == base_g["n_docs"]
-    assert url_map(out) == (base_files, base_rows)
+    assert url_map(out) == base_rows
 
 
 def test_paths_build_honours_id_base(ray_session, pages_corpus, tmp_path,

@@ -1,12 +1,16 @@
-"""The hash-bucketed url map: update lookups must read only the buckets the
-queried urls hash to, return exactly the tokenized table's rows, and fall
-back cleanly for segments built before the map existed."""
+"""The url map, a run of (url, doc_id, doclen) rows sorted by (url,
+doc_id): update lookups must read only the row groups whose footer url
+range can hold a queried url (the one sorted-run reader that term stats
+share), return exactly the tokenized table's rows, fail loudly for a
+segment without a complete map, and still answer exactly over the
+unsorted hash-bucket files older builds wrote."""
 
 from __future__ import annotations
 
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -26,14 +30,17 @@ def built(ray_session, tmp_path_factory):
 
 
 def test_url_map_written_and_complete(built):
-    from markdown_query_ray.index.build import URL_MAP_BUCKETS
-
     um = os.path.join(built, "url_map")
     assert os.path.exists(os.path.join(um, "_SUCCESS"))
     files = [f for f in os.listdir(um) if f.endswith(".parquet")]
-    assert 0 < len(files) <= URL_MAP_BUCKETS
-    total = sum(pq.ParquetFile(os.path.join(um, f)).metadata.num_rows
-                for f in files)
+    assert files
+    total = 0
+    for f in files:
+        t = pq.read_table(os.path.join(um, f))
+        keys = list(zip(t.column("url").to_pylist(),
+                        t.column("doc_id").to_pylist()))
+        assert keys == sorted(keys)
+        total += len(t)
     tok_rows = sum(
         pq.ParquetFile(os.path.join(built, "tokenized", f)).metadata.num_rows
         for f in os.listdir(os.path.join(built, "tokenized"))
@@ -119,3 +126,120 @@ def test_url_map_regenerates_on_resume(built, ray_session):
     urls = t.column("url").to_pylist()[:5]
     got = url_map_lookup(built, urls)
     assert got.num_rows == 5
+
+
+def _run_values(col: str) -> list[str]:
+    if col == "url":
+        return [f"https://site.example/p{i:03d}" for i in range(64)]
+    return [f"{c}{i:02d}" for c in "abcd" for i in range(16)]
+
+
+@pytest.mark.parametrize("col, keys, prefixes, want_groups", [
+    # p015z sorts between row groups 1 and 2: no group can hold it
+    ("url", ["https://site.example/p010", "https://site.example/p015z",
+             "https://site.example/p041"], [], [1, 5]),
+    ("term", ["a03"], ["c"], [0, 4, 5]),
+])
+def test_read_sorted_run_reads_only_groups_that_can_hold_keys(
+        tmp_path, monkeypatch, col, keys, prefixes, want_groups):
+    """A sorted run in row groups of 8: a lookup reads only the groups
+    whose footer [min, max] can hold a key or a prefix's range, and finds
+    exactly what a full scan finds. Without footer statistics every group
+    is read."""
+    from markdown_query_ray.index.build import read_sorted_run
+
+    vals = _run_values(col)
+    table = pa.table({col: vals, "n": pa.array(range(len(vals)),
+                                                pa.int64())})
+    seen = []
+    orig = pq.ParquetFile.read_row_groups
+
+    def spy(self, row_groups, *a, **kw):
+        seen.append(list(row_groups))
+        return orig(self, row_groups, *a, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    want = [r for r in table.to_pylist() if r[col] in keys
+            or any(r[col].startswith(p) for p in prefixes)]
+    for stats, groups in ((True, want_groups), (False, list(range(8)))):
+        path = str(tmp_path / f"run-{stats}.parquet")
+        pq.write_table(table, path, row_group_size=8,
+                       write_statistics=stats)
+        seen.clear()
+        got = read_sorted_run(path, col, keys, prefixes)
+        assert seen == [groups]
+        assert [r for r in got.to_pylist() if r[col] in keys or any(
+            r[col].startswith(p) for p in prefixes)] == want
+
+
+def _to_bucket_layout(seg_dir: str) -> None:
+    """Rewrite a segment's url map as older builds wrote it: one file per
+    FNV-1a64(url) % 64 bucket, rows in tokenized (doc_id) order, so
+    unsorted by url, here in row groups of 4 rows."""
+    from markdown_query_ray.functions.hashing import fnv1a64_strings
+
+    um = os.path.join(seg_dir, "url_map")
+    for f in os.listdir(um):
+        if f.endswith(".parquet"):
+            os.remove(os.path.join(um, f))
+    t = pq.ParquetDataset(os.path.join(seg_dir, "tokenized")).read(
+        columns=["url", "doc_id", "doclen"]).sort_by("doc_id")
+    b = fnv1a64_strings(t.column("url").combine_chunks()) % np.uint64(64)
+    for k in np.unique(b):
+        pq.write_table(t.filter(pa.array(b == k)),
+                       os.path.join(um, f"umap-{int(k):04d}.parquet"),
+                       row_group_size=4)
+
+
+def test_bucket_layout_url_maps_still_answer_exactly(ray_session, tmp_path):
+    """An index whose url map is still the old unsorted hash-bucket files
+    answers ``url_map_lookup`` and an ``update_index`` exactly as one
+    with the sorted run does: the footer pruning only skips row groups
+    whose url range cannot hold a url, sorted or not."""
+    import shutil
+
+    from markdown_query_ray.config import IndexConfig
+    from markdown_query_ray.fixtures import (
+        make_pages_table,
+        write_pages_corpus,
+    )
+    from markdown_query_ray.index.build import build_index, url_map_lookup
+    from markdown_query_ray.index.reader import IndexReader
+    from markdown_query_ray.index.update import load_segments, update_index
+
+    paths = write_pages_corpus(str(tmp_path / "corpus"), n_docs=200,
+                               n_files=2)
+    new, old = str(tmp_path / "new"), str(tmp_path / "old")
+    build_index(new, paths=paths,
+                cfg=IndexConfig(num_term_parts=4, num_doc_buckets=2))
+    shutil.copytree(new, old)
+    _to_bucket_layout(old)
+    files = sorted(f for f in os.listdir(os.path.join(old, "url_map"))
+                   if f.endswith(".parquet"))
+    assert len(files) > 32 and files[0].startswith("umap-")
+    urls = [pq.read_table(os.path.join(old, "url_map", f)).column(
+        "url").to_pylist() for f in files]
+    assert any(u != sorted(u) for u in urls)
+
+    def rows(d, us):
+        return sorted(url_map_lookup(d, us).to_pylist(),
+                      key=lambda r: r["doc_id"])
+
+    probe = [u for f in urls for u in f[::7]] + ["https://missing.ex/1"]
+    assert rows(old, probe) == rows(new, probe)
+    assert len(rows(old, probe)) == len(probe) - 1
+
+    upd = make_pages_table(150, 100)  # replaces docs 150..199, adds 50
+    batch = str(tmp_path / "batch.parquet")
+    pq.write_table(upd, batch)
+    for d in (new, old):
+        update_index(d, paths=[batch])
+    tomb = [pq.read_table(os.path.join(d, "tombstones", "gen-0001.parquet"))
+            .column("doc_id").to_pylist() for d in (new, old)]
+    assert sorted(tomb[0]) == sorted(tomb[1]) == list(range(150, 200))
+    segs = [load_segments(d) for d in (new, old)]
+    for s in segs:
+        s["global_stats"].pop("stage_metrics")
+    assert segs[0] == segs[1]
+    assert IndexReader(old).all_term_stats() == \
+        IndexReader(new).all_term_stats()
